@@ -16,17 +16,19 @@
 //	diskfull@10s/3s        ENOSPC on WAL segment writes for 3s
 //	eio@20s/2s             EIO on WAL fsync for 2s
 //	slowfsync@30s/5s/50ms  +50ms latency on every fsync for 5s
-//	ckptfault@25s/2s       EIO on checkpoint rename/mkdir for 2s (the
-//	                       daemon's save path retries past it)
 //	kill@40s               kill -9 the daemon mid-traffic, restart it
 //	                       (needs -spawn so the harness owns the process)
+//
+// A failed checkpoint snapshot is the same fault as a failed chunk
+// append — diskfull and eio windows hit both — so a daemon run with
+// -checkpoint-interval exercises its snapshot path under every phase.
 //
 // -spawn "influtrackd -addr :8090 ..." makes the harness launch the
 // daemon itself (stderr passes through), wait for /healthz, kill -9 and
 // restart it at kill@ points, and SIGTERM it after the run. For exact
-// loss accounting across kill@ phases run the daemon with
-// -wal-fsync always and without -checkpoint-dir, so the WAL retains —
-// and replay re-processes — every acknowledged record.
+// loss accounting across kill@ phases run the daemon with -wal-dir and
+// -wal-fsync always, so the log holds every acknowledged record past
+// the newest snapshot and replay re-processes it.
 //
 // Verification (-verify, on by default): after traffic stops the harness
 // waits for every queue to drain, then checks the acked-record ledger —
@@ -109,7 +111,7 @@ func main() {
 		maxLife     = flag.Int("maxlife", 200, "tracker maximum lifetime L")
 		window      = flag.Int("window", 100, "constant-lifetime window for created streams")
 		timeMode    = flag.String("time-mode", server.TimeArrival, "time mode for created streams: arrival or event")
-		chaos       = flag.String("chaos", "", "fault schedule: kind@start[/dur[/arg]],... (kinds: diskfull, eio, slowfsync, ckptfault, kill)")
+		chaos       = flag.String("chaos", "", "fault schedule: kind@start[/dur[/arg]],... (kinds: diskfull, eio, slowfsync, kill)")
 		verify      = flag.Bool("verify", true, "after traffic, verify zero acked-record loss and a healthy final state")
 		slo         = flag.String("slo", "", "SLO budgets asserted against the final report, e.g. ingest_p99=50ms,query_p99=10ms,lost_acked=0,quality_ratio_min=0.5; any breach exits non-zero")
 		settle      = flag.Duration("settle", 2*time.Minute, "verification budget for queues to drain and counters to settle (unthrottled runs can bank a backlog several times the traffic phase)")
@@ -382,8 +384,9 @@ func createStreams(base string, names []string, algo string, k int, eps float64,
 		}
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		// 409: the stream survived from a previous run (or a restored
-		// checkpoint) — reuse it, the ledger check is ≥-based.
+		// 409: the stream survived from a previous run (the daemon
+		// re-hosts every stream whose log holds a snapshot) — reuse it,
+		// the ledger check is ≥-based.
 		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
 			return fmt.Errorf("create %s: %s: %s", name, resp.Status, strings.TrimSpace(string(msg)))
 		}
@@ -627,7 +630,7 @@ func retryAfterDelay(h string) time.Duration {
 // ---- chaos -----------------------------------------------------------
 
 type chaosAction struct {
-	kind string        // diskfull | eio | slowfsync | ckptfault | kill
+	kind string        // diskfull | eio | slowfsync | kill
 	at   time.Duration // offset from traffic start
 	dur  time.Duration // fault TTL (diskfull/eio/slowfsync)
 	arg  time.Duration // slowfsync delay
@@ -665,7 +668,7 @@ func parseChaos(s string) ([]chaosAction, error) {
 			}
 		}
 		switch a.kind {
-		case "diskfull", "eio", "ckptfault":
+		case "diskfull", "eio":
 			if a.dur <= 0 {
 				return nil, fmt.Errorf("chaos phase %q needs a duration (kind@start/dur)", part)
 			}
@@ -675,7 +678,7 @@ func parseChaos(s string) ([]chaosAction, error) {
 			}
 		case "kill":
 		default:
-			return nil, fmt.Errorf("chaos phase %q: unknown kind (want diskfull, eio, slowfsync, ckptfault or kill)", part)
+			return nil, fmt.Errorf("chaos phase %q: unknown kind (want diskfull, eio, slowfsync or kill)", part)
 		}
 		out = append(out, a)
 	}
@@ -697,10 +700,10 @@ type chaosExec struct {
 
 // runChaos executes the schedule in a goroutine and returns a function
 // that waits for it and yields the execution log. recreate re-hosts the
-// harness's streams after a kill restart: without a checkpoint dir the
-// daemon only boots flag-declared streams, and re-creating a WAL-backed
-// stream replays its intact log from genesis — which is exactly the
-// recovery the zero-loss ledger verifies.
+// harness's streams after a kill restart: the daemon boots flag-declared
+// streams and those whose log holds a snapshot, and re-creating any
+// other WAL-backed stream replays its intact log from genesis — the
+// recovery the zero-loss ledger verifies either way.
 func runChaos(ctx context.Context, client *http.Client, base string, proc *daemon, actions []chaosAction, recreate func() error) func() []chaosExec {
 	out := make(chan []chaosExec, 1)
 	start := time.Now()
@@ -735,18 +738,6 @@ func runChaos(ctx context.Context, client *http.Client, base string, proc *daemo
 				ex.Error = postFault(client, base, map[string]any{
 					"op": "sync", "delay_ms": a.arg.Milliseconds(), "ttl_ms": a.dur.Milliseconds(),
 				})
-			case "ckptfault":
-				// Two rules, one phase: the checkpoint save path's rename
-				// (temp file → .ckpt) and its directory creation. The
-				// daemon's bounded checkpoint retries should absorb both.
-				ex.Detail = fmt.Sprintf("EIO on checkpoint rename/mkdir for %s", a.dur)
-				e1 := postFault(client, base, map[string]any{
-					"op": "rename", "path": ".ckpt", "err": "eio", "ttl_ms": a.dur.Milliseconds(),
-				})
-				e2 := postFault(client, base, map[string]any{
-					"op": "mkdir", "err": "eio", "ttl_ms": a.dur.Milliseconds(),
-				})
-				ex.Error = strings.TrimSpace(strings.Join([]string{e1, e2}, " "))
 			case "kill":
 				ex.Detail = "SIGKILL mid-traffic, restart, wait healthy, re-host streams (WAL replay)"
 				proc.kill9()

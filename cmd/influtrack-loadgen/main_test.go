@@ -6,14 +6,13 @@ import (
 )
 
 func TestParseChaos(t *testing.T) {
-	actions, err := parseChaos("diskfull@10s/3s, slowfsync@20s/5s/50ms ,ckptfault@25s/2s,kill@30s,eio@40s/2s")
+	actions, err := parseChaos("diskfull@10s/3s, slowfsync@20s/5s/50ms ,kill@30s,eio@40s/2s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []chaosAction{
 		{kind: "diskfull", at: 10 * time.Second, dur: 3 * time.Second},
 		{kind: "slowfsync", at: 20 * time.Second, dur: 5 * time.Second, arg: 50 * time.Millisecond},
-		{kind: "ckptfault", at: 25 * time.Second, dur: 2 * time.Second},
 		{kind: "kill", at: 30 * time.Second},
 		{kind: "eio", at: 40 * time.Second, dur: 2 * time.Second},
 	}
@@ -35,7 +34,8 @@ func TestParseChaosRejects(t *testing.T) {
 		"diskfull",                 // no @start
 		"kill@30s,diskfull@10s/1s", // out of order
 		"diskfull@ten/3s",          // bad duration
-		"ckptfault@10s",            // needs a duration
+		"eio@10s",                  // needs a duration
+		"ckptfault@10s/1s",         // retired kind
 	} {
 		if _, err := parseChaos(bad); err == nil {
 			t.Errorf("parseChaos(%q) accepted, want error", bad)

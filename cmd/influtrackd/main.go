@@ -20,8 +20,8 @@
 //	time=event           event (records carry t) | arrival (server-clocked steps)
 //	token=secret         bearer token gating ingest, admin and the events feed
 //	                     (Authorization: Bearer secret; 401 on mismatch)
-//	wal=on               on (default when -wal-dir is set) | off — opt this
-//	                     stream out of the write-ahead log
+//	wal=on               on (default when -wal-dir is set) | off — log only
+//	                     this stream's snapshots, not its ingest chunks
 //
 // Usage:
 //
@@ -49,29 +49,34 @@
 // the event sequence number as an ETag, so residual pollers can send
 // If-None-Match and get 304 until the top-k actually changes.
 //
-// On SIGTERM/SIGINT the daemon stops accepting traffic, drains every
-// ingest queue, and — when -checkpoint-dir is set — writes one checkpoint
-// per stream, which the next start restores automatically. With
-// -checkpoint-interval the daemon additionally checkpoints every stream
-// in the background at that interval (written to a temp file and
-// renamed, so a crash mid-save never corrupts the last good checkpoint),
-// bounding how much stream history a hard crash can lose.
-//
-// -wal-dir closes the remaining window entirely: every ingest chunk is
-// appended to a per-stream write-ahead log *before* the 200 OK, and a
-// restarting daemon replays checkpoint + log tail to reconstruct the
-// exact pre-crash state — zero acknowledged-record loss under kill -9.
-// -wal-fsync picks the policy ("always": the ack waits for a
+// -wal-dir makes streams durable: each stream keeps one write-ahead log
+// there, and every ingest chunk is appended to it *before* the 200 OK.
+// A checkpoint is a snapshot frame in the same log: on SIGTERM/SIGINT
+// the daemon stops accepting traffic, drains every ingest queue and
+// appends one snapshot per stream, and -checkpoint-interval appends them
+// in the background too. A starting daemon hosts every stream whose log
+// holds a snapshot — including streams created over HTTP, which no
+// -stream flag names — and rebuilds each from its newest snapshot plus
+// the chunks after it: the exact pre-crash state, zero acknowledged-
+// record loss under kill -9. A -stream flag naming a logged stream keeps
+// its token and wal= setting; the rest of the spec comes from the
+// snapshot. -wal-fsync picks the policy ("always": the ack waits for a
 // group-committed fsync, surviving power loss; "interval", the default:
 // fsync every 100ms, exact under process kills, up to one interval
-// exposed to power loss; "none": never fsync). -wal-segment-bytes sets
-// the rotation size; each successful background checkpoint truncates
-// the segments it covers, so the log's footprint stays bounded by
-// roughly one checkpoint interval of traffic:
+// exposed to power loss; "none": never fsync on ingest). Snapshots are
+// fsynced whatever the policy before the segments they cover are
+// deleted, so the log's footprint stays bounded by roughly one
+// checkpoint interval of traffic (-wal-segment-bytes sets the rotation
+// size). A wal=off stream logs snapshots only, so a restart recovers
+// its newest one:
 //
-//	influtrackd -addr :8080 -checkpoint-dir /var/lib/influtrackd \
-//	    -checkpoint-interval 30s -wal-dir /var/lib/influtrackd/wal \
-//	    -wal-fsync always -stream "name=demo,algo=histapprox,k=10,eps=0.1,L=1000,p=0.001"
+//	influtrackd -addr :8080 -checkpoint-interval 30s \
+//	    -wal-dir /var/lib/influtrackd/wal -wal-fsync always \
+//	    -stream "name=demo,algo=histapprox,k=10,eps=0.1,L=1000,p=0.001"
+//
+// Without -wal-dir streams live in memory only; POST
+// /v1/admin/checkpoint and /v1/admin/restore still move a stream's state
+// between servers.
 //
 // A WAL fault (disk full, I/O error on fsync) does not take the stream
 // down: it degrades — ingest answers 503 with a Retry-After hint while
@@ -84,7 +89,7 @@
 // queue to relieve wake-up contention at high ingest parallelism.
 //
 // -fault-inject (testing/chaos drills only — never production) routes
-// all WAL and checkpoint file I/O through an in-process fault injector
+// all WAL file I/O through an in-process fault injector
 // and exposes /v1/admin/fault, letting a chaos harness (see
 // influtrack-loadgen -chaos) schedule disk-full windows, fsync latency,
 // I/O errors and crash points against the live daemon. A fault rule
@@ -135,7 +140,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -240,14 +244,13 @@ func main() {
 	chunkSize := flag.Int("chunk", 4096, "records per ingest chunk")
 	maxBody := flag.Int64("max-body", 256<<20, "maximum ingest body bytes")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
-	ckptDir := flag.String("checkpoint-dir", "", "save stream checkpoints here on shutdown and restore them on start")
-	ckptInterval := flag.Duration("checkpoint-interval", 0, "additionally checkpoint every stream in the background at this interval (0 = shutdown only; needs -checkpoint-dir)")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory (one log per stream): ingest chunks are logged before the 200 OK and replayed past the checkpoint on start — exact crash recovery")
+	ckptInterval := flag.Duration("checkpoint-interval", 0, "additionally snapshot every stream into its log in the background at this interval (0 = shutdown only; needs -wal-dir)")
+	walDir := flag.String("wal-dir", "", "write-ahead log directory (one log per stream): ingest chunks are logged before the 200 OK, checkpoints are snapshots in the same log, and a start recovers every logged stream — exact crash recovery")
 	walFsync := flag.String("wal-fsync", "interval", "WAL fsync policy: always (group-committed fsync before each ack), interval (background fsync every 100ms), none")
 	walSegBytes := flag.Int64("wal-segment-bytes", 64<<20, "WAL segment rotation size; checkpoints truncate fully-covered segments")
 	walCommitShards := flag.Int("wal-commit-shards", 0, "group-commit wait-queue shards for -wal-fsync always (0 = default; relieves wake-up contention at high ingest parallelism)")
 	walRepairBackoff := flag.Duration("wal-repair-backoff", 0, "initial retry interval for the degraded-stream WAL repair loop (0 = default 100ms; doubles up to 50× per retry)")
-	faultInject := flag.Bool("fault-inject", false, "TESTING ONLY: route WAL/checkpoint file I/O through an in-process fault injector and expose /v1/admin/fault for chaos drills; crash rules exit(137)")
+	faultInject := flag.Bool("fault-inject", false, "TESTING ONLY: route WAL file I/O through an in-process fault injector and expose /v1/admin/fault for chaos drills; crash rules exit(137)")
 	faultSeed := flag.Int64("fault-seed", 1, "RNG seed for probabilistic fault rules (needs -fault-inject)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for draining queues")
 	shards := flag.Int("shards", 0, "default shard count for streams that set none (≥ 2 partitions each stream by source-node hash)")
@@ -267,7 +270,7 @@ func main() {
 	traceOn := flag.Bool("trace", true, "record per-request lifecycle traces: stage summaries on /metrics plus the /v1/streams/{name}/trace drill-down")
 	traceRing := flag.Int("trace-ring", 0, "recent request traces retained per stream (0 = default 256)")
 	traceSlow := flag.Duration("trace-slow", 0, "log any request slower than this with its per-stage breakdown (0 = default 500ms)")
-	flightOn := flag.Bool("flight-recorder", true, "record lifecycle events (WAL degrade/repair, checkpoint retries, evictions, stalls, Warn+ logs) into a bounded in-memory ring dumped by the diagnostics bundle")
+	flightOn := flag.Bool("flight-recorder", true, "record lifecycle events (WAL degrade/repair, checkpoints, evictions, stalls, Warn+ logs) into a bounded in-memory ring dumped by the diagnostics bundle")
 	flightRing := flag.Int("flight-ring", 1024, "flight-recorder ring capacity (events)")
 	postmortemDir := flag.String("postmortem-dir", "", "write a diagnostics bundle (tar.gz) here on panic and on SIGQUIT (empty = off)")
 	showVersion := flag.Bool("version", false, "print build version and exit")
@@ -301,15 +304,15 @@ func main() {
 	}
 	logger := slog.New(handler)
 	// The default logger feeds every package that logs without an
-	// explicit *slog.Logger (checkpoint restore lines, libraries).
+	// explicit *slog.Logger (libraries).
 	slog.SetDefault(logger)
 	die := func(msg string, attrs ...any) {
 		logger.Error(msg, attrs...)
 		os.Exit(1)
 	}
 
-	if *ckptInterval > 0 && *ckptDir == "" {
-		die("-checkpoint-interval needs -checkpoint-dir")
+	if *ckptInterval > 0 && *walDir == "" {
+		die("-checkpoint-interval needs -wal-dir")
 	}
 
 	if len(streams) == 0 {
@@ -376,10 +379,6 @@ func main() {
 		Flight:               flight,
 		OnPanic:              func(v any) { writePostmortem("panic") },
 	}
-	// The checkpoint savers below write through this seam, so chaos
-	// harnesses can schedule rename/mkdir faults against the checkpoint
-	// path (influtrack-loadgen's ckptfault@ phases), not just the WAL.
-	fsys := fault.FS(fault.OS())
 	if *faultInject {
 		inj := fault.NewInjector(nil, *faultSeed)
 		// A crash rule means "die as if kill -9 at this syscall": exit
@@ -401,37 +400,22 @@ func main() {
 				"delay", delay.String(), "crash", strconv.FormatBool(crash))
 		}
 		cfg.Fault = inj
-		fsys = inj
 		logger.Warn("FAULT INJECTION ENABLED — /v1/admin/fault is live; not for production",
 			slog.Int64("seed", *faultSeed))
 	}
-	var specs []server.StreamSpec
-	seen := make(map[string]bool)
 	for _, arg := range streams {
 		spec, err := parseStreamSpec(arg)
 		if err != nil {
 			die("bad -stream flag", slog.String("flag", arg), slog.Any("error", err))
 		}
-		// Duplicate names fail loudly here: the restore-before-create
-		// boot below skips specs whose stream a checkpoint already
-		// hosts, which must never silently eat an operator's second
-		// -stream flag for the same name.
-		if seen[spec.Name] {
-			die("duplicate -stream name", slog.String("stream", spec.Name))
-		}
-		seen[spec.Name] = true
 		if spec.Tracker.Shards == 0 {
 			spec.Tracker.Shards = *shards
 		}
-		specs = append(specs, spec)
+		cfg.Streams = append(cfg.Streams, spec)
 	}
 
-	// Boot order matters for crash recovery: checkpointed streams are
-	// restored *before* their -stream flags would create them empty, so
-	// each worker is built exactly once — from checkpoint + WAL-tail
-	// replay — instead of created fresh (replaying the whole log) and
-	// then restored over. Flags for restored streams still contribute
-	// the fields checkpoints cannot carry (bearer token, wal= toggle).
+	// New recovers every flagged stream, and every other stream whose
+	// log under -wal-dir holds a snapshot, before it returns.
 	srv, err := server.New(cfg)
 	if err != nil {
 		die("server construction failed", slog.Any("error", err))
@@ -439,19 +423,6 @@ func main() {
 	pm.Lock()
 	pm.srv = srv
 	pm.Unlock()
-	if *ckptDir != "" {
-		if err := restoreCheckpoints(srv, *ckptDir, specs); err != nil {
-			die("checkpoint restore failed", slog.Any("error", err))
-		}
-	}
-	for _, spec := range specs {
-		if hosted(srv, spec.Name) {
-			continue // restored from its checkpoint above
-		}
-		if err := srv.AddStream(spec); err != nil {
-			die("stream creation failed", slog.String("stream", spec.Name), slog.Any("error", err))
-		}
-	}
 
 	// Panics on the request path write the postmortem too (then re-panic
 	// so net/http still aborts the connection and logs the stack).
@@ -500,7 +471,7 @@ func main() {
 		// The diagnostics bundle lives on the debug listener only — it
 		// carries goroutine dumps and directory listings that must not be
 		// reachable from the public -addr. ?cpu=15s adds a CPU profile.
-		dbg.Handle("/v1/admin/debug/bundle", srv.BundleHandler(*ckptDir))
+		dbg.Handle("/v1/admin/debug/bundle", srv.BundleHandler())
 		dbgSrv = &http.Server{Addr: *debugAddr, Handler: dbg}
 		go func() {
 			if err := dbgSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -512,17 +483,13 @@ func main() {
 
 	var ckptLoopDone chan struct{}
 	if *ckptInterval > 0 {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			die("checkpoint dir creation failed", slog.Any("error", err))
-		}
 		ckptLoopDone = make(chan struct{})
 		go func() {
 			defer close(ckptLoopDone)
-			srv.PeriodicCheckpoints(ctx, *ckptInterval, fileSaver(fsys, *ckptDir, false),
+			srv.PeriodicCheckpoints(ctx, *ckptInterval,
 				func(err error) { logger.Error("background checkpoint failed", slog.Any("error", err)) })
 		}()
-		logger.Info("background checkpoints enabled",
-			slog.Duration("interval", *ckptInterval), slog.String("dir", *ckptDir))
+		logger.Info("background checkpoints enabled", slog.Duration("interval", *ckptInterval))
 	}
 
 	select {
@@ -536,6 +503,7 @@ func main() {
 	// the client leaves, so without this every live dashboard would hold
 	// Shutdown hostage for the full drain timeout. Their notify state
 	// survives for the checkpoint; clients reconnect after restart.
+	// Close itself writes no snapshot: the checkpoint below does.
 	logger.Info("shutting down — draining ingest queues")
 	srv.CloseSubscriptions()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
@@ -551,11 +519,9 @@ func main() {
 		logger.Warn("http shutdown timed out; closing connections", slog.Any("error", err))
 		httpSrv.Close()
 	}
-	if *ckptDir != "" {
-		// An in-flight periodic checkpoint must finish first: it holds a
-		// pre-drain snapshot, and letting it rename over the post-drain
-		// shutdown checkpoint would silently lose acknowledged records. The
-		// loop exits promptly — its context (ctx) is already canceled.
+	if *walDir != "" {
+		// Let an in-flight periodic checkpoint finish first; the loop
+		// exits promptly — its context (ctx) is already canceled.
 		if ckptLoopDone != nil {
 			<-ckptLoopDone
 		}
@@ -563,7 +529,7 @@ func main() {
 		// spent if Shutdown timed out, and an expired context here would
 		// skip the checkpoint exactly when it matters most.
 		ckptCtx, ckptCancel := context.WithTimeout(context.Background(), *drainTimeout)
-		if err := saveCheckpoints(srv, ckptCtx, fsys, *ckptDir); err != nil {
+		if err := srv.CheckpointAll(ckptCtx); err != nil {
 			logger.Error("shutdown checkpoint failed", slog.Any("error", err))
 		}
 		ckptCancel()
@@ -572,126 +538,4 @@ func main() {
 		logger.Error("drain failed", slog.Any("error", err))
 	}
 	logger.Info("bye")
-}
-
-// checkpointPath names a stream's checkpoint file. Stream names are
-// validated by the server to a path-safe charset; this re-checks that the
-// joined path cannot escape dir so a bad name can never become a write
-// outside -checkpoint-dir.
-func checkpointPath(dir, stream string) (string, error) {
-	p := filepath.Join(dir, stream+".ckpt")
-	if filepath.Dir(p) != filepath.Clean(dir) {
-		return "", fmt.Errorf("stream name %q escapes checkpoint dir", stream)
-	}
-	return p, nil
-}
-
-// hosted reports whether the server already hosts a stream name.
-func hosted(srv *server.Server, name string) bool {
-	for _, n := range srv.StreamNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// restoreCheckpoints loads every *.ckpt file in dir, re-hosting each
-// checkpointed stream — including streams the previous run created over
-// HTTP that appear in no -stream flag. Restoring creates the worker,
-// which replays the stream's WAL tail past the checkpoint's watermark
-// (when -wal-dir is on) — the exact-crash-recovery path. A -stream flag
-// matching a restored name overlays the fields checkpoints cannot carry
-// (token, wal toggle). To retire a stream across a restart, delete its
-// .ckpt file and its -wal-dir subdirectory (or DELETE it over HTTP
-// after startup).
-func restoreCheckpoints(srv *server.Server, dir string, specs []server.StreamSpec) error {
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return os.MkdirAll(dir, 0o755)
-	}
-	if err != nil {
-		return err
-	}
-	overlays := make(map[string]*server.StreamSpec, len(specs))
-	for i := range specs {
-		overlays[specs[i].Name] = &specs[i]
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".ckpt") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return err
-		}
-		// The overlay is matched against the stream name embedded in
-		// the envelope (RestoreWithSpec), not the filename: a renamed
-		// or copied checkpoint file must not restore a stream without
-		// its flag-supplied token.
-		name, err := srv.RestoreWithSpec(data, overlays)
-		if err != nil {
-			return fmt.Errorf("restore %s: %w", e.Name(), err)
-		}
-		slog.Info("restored stream from checkpoint",
-			slog.String("stream", name), slog.String("file", e.Name()))
-	}
-	return nil
-}
-
-// fileSaver persists checkpoints as <dir>/<name>.ckpt, writing a
-// uniquely-named temp file and renaming: a crash mid-write never
-// truncates the previous good checkpoint, and concurrent savers of the
-// same stream (a shutdown checkpoint overlapping an in-flight periodic
-// one) can never interleave writes into one shared temp path. Temp
-// names do not end in ".ckpt", so restoreCheckpoints skips any a crash
-// leaves behind. The quiet form is for the background interval loop
-// (one log line per stream per tick would flood).
-func fileSaver(fsys fault.FS, dir string, loud bool) server.SaveFunc {
-	return func(name string, data []byte) error {
-		path, err := checkpointPath(dir, name)
-		if err != nil {
-			return err
-		}
-		tmp, err := fsys.CreateTemp(dir, name+".ckpt.tmp-*")
-		if err != nil {
-			return err
-		}
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			fsys.Remove(tmp.Name())
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			fsys.Remove(tmp.Name())
-			return err
-		}
-		if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-			fsys.Remove(tmp.Name())
-			return err
-		}
-		if err := fsys.Rename(tmp.Name(), path); err != nil {
-			fsys.Remove(tmp.Name())
-			return err
-		}
-		if loud {
-			slog.Info("checkpointed stream",
-				slog.String("stream", name), slog.Int("bytes", len(data)))
-		}
-		return nil
-	}
-}
-
-// saveCheckpoints writes one checkpoint per hosted stream. Queues must
-// still be live (called before Close): the checkpoint drains each
-// stream's queue first, so every record acknowledged before the HTTP
-// listener shut down is in the file. One stream failing to checkpoint
-// (e.g. a baseline tracker without snapshot support) does not cost the
-// other streams their state — CheckpointAll keeps going and the caller
-// logs the joined error once.
-func saveCheckpoints(srv *server.Server, ctx context.Context, fsys fault.FS, dir string) error {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return srv.CheckpointAll(ctx, fileSaver(fsys, dir, true))
 }

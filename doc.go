@@ -112,16 +112,21 @@
 //
 // # Durability
 //
-// Checkpoints alone make durability periodic: a kill -9 between saves
-// silently loses every record acknowledged since the last one. With a
-// write-ahead log (internal/wal; influtrackd -wal-dir) the ack contract
-// becomes exact: every ingest chunk is appended — CRC32C-framed, in
-// segment files, with its label-dictionary delta — *before* the handler
-// returns 200, so 200 OK means the record survives a process kill, and
-// a restarting daemon replays checkpoint + log tail to reconstruct the
-// precise pre-crash tracker state, counters included. In-place admin
-// restores are logged in line as restore markers, so even
-// restore-then-ingest-then-crash recovers exactly.
+// A tracker's state is a function of its interaction stream's prefix,
+// so each stream keeps one write-ahead log (internal/wal; influtrackd
+// -wal-dir) holding everything durable about it. Every ingest chunk is
+// appended — CRC32C-framed, in segment files, with its label-dictionary
+// delta — *before* the handler returns 200, so 200 OK means the record
+// survives a process kill. A checkpoint (SIGTERM, -checkpoint-interval)
+// appends a snapshot frame: the stream state plus the log position it
+// covers, which is the worker's applied position, since chunks keep
+// arriving while the state serializes. A restarting daemon hosts every
+// stream whose log holds a snapshot, loads the newest one and replays
+// the chunks from its covered position on — the precise pre-crash
+// tracker state, counters included; a log without one replays from
+// genesis. In-place admin restores are snapshot frames too, so even
+// restore-then-ingest-then-crash recovers exactly, and a wal=off
+// stream's log holds nothing but snapshots.
 //
 // The fsync policy (-wal-fsync) prices the remaining window. "always":
 // each ack waits for an fsync — concurrent requests share one
@@ -129,24 +134,27 @@
 // (default): appends issue their write(2) immediately (no user-space
 // buffering, so process kills lose nothing) and a background loop
 // fsyncs every 100ms — power loss can cost up to one interval.
-// "none": never fsync; still exact under kill -9, fastest, weakest
-// under power loss. Each successfully *saved* checkpoint truncates the
-// log segments it covers — a failed save never advances the truncation
-// point — so the log's footprint stays near one checkpoint interval of
-// traffic. BENCH_PR5.json records the ingest cost: fsync=interval
-// within a few percent of the WAL-free baseline.
+// "none": never fsync on ingest; still exact under kill -9, fastest,
+// weakest under power loss. A checkpoint fsyncs its snapshot whatever
+// the policy and only then truncates the log segments it covers — a
+// failed snapshot never advances the truncation point — so the log's
+// footprint stays near one checkpoint interval of traffic; streams idle
+// since their newest snapshot are skipped. BENCH_PR5.json records the
+// ingest cost: fsync=interval within a few percent of the WAL-free
+// baseline.
 //
 // # Resilience
 //
-// A full or dying disk must not take a stream down. Every WAL and
-// checkpoint file operation goes through a pluggable filesystem/clock
+// A full or dying disk must not take a stream down. Every WAL file
+// operation goes through a pluggable filesystem/clock
 // seam (internal/fault): the passthrough fault.OS in production, and a
 // rule-driven Injector in tests and chaos drills (influtrackd
 // -fault-inject plus the /v1/admin/fault endpoint) that injects ENOSPC,
 // EIO on fsync, fsync latency, torn writes and crash-at-syscall points
 // against the live process.
 //
-// When a WAL append or group commit fails, the stream degrades instead
+// When a WAL append, group commit or checkpoint snapshot fails, the
+// stream degrades instead
 // of dying: ingest answers 503 + Retry-After while /v1/topk,
 // /v1/explain and the events feed keep serving the last good state, and
 // a background repair loop (exponential backoff) rotates the log past
@@ -157,12 +165,11 @@
 // durability. Healing is automatic and observable end to end: the
 // transition shows in /healthz, in /v1/streams (state,
 // degraded_seconds, wal_repairs), on /metrics (influtrackd_wal_degraded,
-// _wal_repairs_total, _checkpoint_retries_total) and as stream_status
-// events on the push feed, so a dashboard sees degraded → healthy the
-// moment each happens. Checkpoint saves retry with backoff before
-// reporting failure, and stream creation builds workers outside the
-// server's stream lock, so re-hosting a crashed stream (a long WAL
-// replay) never stalls the others.
+// _wal_repairs_total) and as stream_status events on the push feed, so
+// a dashboard sees degraded → healthy the moment each happens. A failed
+// checkpoint is retried by the next one, and stream creation builds
+// workers outside the server's stream lock, so re-hosting a crashed
+// stream (a long WAL replay) never stalls the others.
 //
 // cmd/influtrack-loadgen is the chaos/load harness: mixed
 // ingest/query/subscriber traffic with a zipfian node mix and
@@ -289,8 +296,8 @@
 // as a typed, monotonically-sequenced event with stream/cause/errno
 // detail: WAL degrade and repair (the repair event's errno matches the
 // degrade's — the pairing chaos drills assert), rotation, truncation
-// and commit-token fencing, checkpoint saves and per-attempt retries,
-// restores and restore-marker binds, WAL replay completion, notify-hub
+// and commit-token fencing, checkpoint snapshots, restores, WAL replay
+// completion, notify-hub
 // slow-subscriber evictions (with queue occupancy and sequence lag),
 // audit-floor and memory-watermark crossings and recoveries, injected
 // fault-rule hits, worker stalls, and recovered panics. A tee
@@ -307,8 +314,8 @@
 // redacted config (stream tokens are unrepresentable in a bundle),
 // per-stream info/engine-stats/quality/traces from cached state (a
 // wedged worker cannot block its own postmortem), goroutine and heap
-// profiles (?cpu=15s adds a CPU profile), and WAL/checkpoint directory
-// listings. -postmortem-dir makes the daemon write the same bundle on
+// profiles (?cpu=15s adds a CPU profile), and the WAL directory
+// listing. -postmortem-dir makes the daemon write the same bundle on
 // any worker or HTTP-path panic (then re-panic) and on SIGQUIT.
 //
 // /healthz rolls per-component readiness — wal, queue_headroom,

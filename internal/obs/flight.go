@@ -18,13 +18,11 @@ const (
 	EventWALDegraded     = "wal_degraded"       // WAL append/commit fault degraded a stream
 	EventWALRepaired     = "wal_repaired"       // background repair rotated past the damage
 	EventWALRotated      = "wal_rotated"        // repair rotated the log to a fresh segment
-	EventWALTruncated    = "wal_truncated"      // checkpoint-watermark truncation dropped segments
+	EventWALTruncated    = "wal_truncated"      // a checkpoint truncated the segments its snapshot covers
 	EventWALFenced       = "wal_fenced"         // ack-ambiguous commit tokens were fenced
 	EventWALTornTail     = "wal_torn_tail"      // replay stopped at a torn/corrupt frame
-	EventCheckpointSaved = "checkpoint_saved"   // one stream's checkpoint persisted
-	EventCheckpointRetry = "checkpoint_retry"   // a checkpoint save attempt failed, retrying
+	EventCheckpointSaved = "checkpoint_saved"   // one stream's checkpoint snapshot logged and synced
 	EventRestore         = "checkpoint_restore" // an admin restore replaced live state
-	EventRestoreMarker   = "restore_marker"     // a restore marker was bound during WAL replay
 	EventReplayDone      = "wal_replay_done"    // boot replay reconstructed pre-crash state
 	EventSubscriberEvict = "subscriber_evicted" // notify hub dropped a slow subscriber
 	EventAuditFloor      = "audit_floor_breach" // quality ratio crossed below the audit floor

@@ -5,7 +5,7 @@ package server
 // recorder dump, a /metrics snapshot, the composite health breakdown,
 // per-stream deep state (info, cached engine stats, cached quality
 // audit, recent traces), goroutine and heap profiles, the redacted
-// serving config, and WAL/checkpoint directory listings.
+// serving config, and the WAL directory listing.
 //
 // Collection is deliberately non-blocking: every per-stream member
 // reads atomically-cached state (engineStats, auditRep, the snapshot)
@@ -37,9 +37,6 @@ type BundleOptions struct {
 	// it as profiles/cpu.pprof. Capped at 30s. The bundle request blocks
 	// for the duration.
 	CPUProfile time.Duration
-	// CheckpointDir, when non-empty, is listed (names, sizes, mtimes)
-	// into checkpoints/files.txt.
-	CheckpointDir string
 	// Reason labels the bundle in meta.json: "request" for an operator
 	// pull, "panic"/"sigquit" for postmortems.
 	Reason string
@@ -186,13 +183,10 @@ func (s *Server) WriteBundle(w io.Writer, opts BundleOptions) error {
 		}
 	}
 
-	// Durability directory listings: enough to see segment counts, sizes
+	// Durability directory listing: enough to see segment counts, sizes
 	// and mtimes without shipping the data itself.
 	if s.cfg.WALDir != "" {
 		add("wal/files.txt", s.listDir(s.cfg.WALDir, &collectErrs))
-	}
-	if opts.CheckpointDir != "" {
-		add("checkpoints/files.txt", s.listDir(opts.CheckpointDir, &collectErrs))
 	}
 
 	if len(collectErrs) > 0 {
@@ -278,7 +272,6 @@ func (s *Server) redactedConfig() map[string]any {
 		"wal_commit_shards":     c.WALCommitShards,
 		"repair_backoff":        c.RepairBackoff.String(),
 		"repair_backoff_max":    c.RepairBackoffMax.String(),
-		"checkpoint_retries":    c.CheckpointRetries,
 		"tracing_disabled":      c.DisableTracing,
 		"trace_ring":            c.TraceRing,
 		"slow_trace":            c.SlowTrace.String(),
@@ -309,9 +302,9 @@ func (s *Server) redactedConfig() map[string]any {
 // (-debug-addr), never on the public API mux: the bundle contains
 // goroutine dumps and directory listings that are none of a tenant's
 // business (stream tokens, by contrast, are redacted).
-func (s *Server) BundleHandler(checkpointDir string) http.Handler {
+func (s *Server) BundleHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		opts := BundleOptions{CheckpointDir: checkpointDir, Reason: "request"}
+		opts := BundleOptions{Reason: "request"}
 		if q := r.URL.Query().Get("cpu"); q != "" {
 			d, err := time.ParseDuration(q)
 			if err != nil || d < 0 {
@@ -344,7 +337,7 @@ func (s *Server) WritePostmortem(dir, reason string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("postmortem: %w", err)
 	}
-	werr := s.WriteBundle(f, BundleOptions{CheckpointDir: "", Reason: reason})
+	werr := s.WriteBundle(f, BundleOptions{Reason: reason})
 	cerr := f.Close()
 	if werr != nil {
 		return path, fmt.Errorf("postmortem: %w", werr)

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -52,10 +51,6 @@ func readBundle(t *testing.T, data []byte) map[string][]byte {
 func TestBundleRoundTrip(t *testing.T) {
 	const secret = "supersecret-bearer-0451"
 	walDir := t.TempDir()
-	ckptDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(ckptDir, "guarded.ckpt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	flight := obs.NewFlight(64, nil)
 	guarded := testSpec("guarded")
 	guarded.Token = secret
@@ -75,7 +70,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	flight.Record(obs.EventWALDegraded, "open", "write-ahead log fault", "injected EIO for the bundle test")
 
 	var buf bytes.Buffer
-	if err := s.WriteBundle(&buf, BundleOptions{CheckpointDir: ckptDir}); err != nil {
+	if err := s.WriteBundle(&buf, BundleOptions{}); err != nil {
 		t.Fatalf("WriteBundle: %v", err)
 	}
 	members := readBundle(t, buf.Bytes())
@@ -84,7 +79,7 @@ func TestBundleRoundTrip(t *testing.T) {
 		"meta.json", "flight.json", "metrics.prom", "health.json", "config.json",
 		"streams/open/info.json", "streams/guarded/info.json",
 		"profiles/goroutine.txt", "profiles/heap.pprof",
-		"wal/files.txt", "checkpoints/files.txt",
+		"wal/files.txt",
 	} {
 		if _, ok := members[want]; !ok {
 			names := make([]string, 0, len(members))
@@ -152,15 +147,12 @@ func TestBundleRoundTrip(t *testing.T) {
 	if !bytes.Contains(members["wal/files.txt"], []byte("open/")) {
 		t.Fatalf("wal listing lacks the open stream's segment dir:\n%s", members["wal/files.txt"])
 	}
-	if !bytes.Contains(members["checkpoints/files.txt"], []byte("guarded.ckpt")) {
-		t.Fatalf("checkpoint listing lacks guarded.ckpt:\n%s", members["checkpoints/files.txt"])
-	}
 }
 
 func TestBundleHandlerServesTarGz(t *testing.T) {
 	s, _ := newTestServer(t, Config{Streams: []StreamSpec{testSpec("a")}})
 	rr := httptest.NewRecorder()
-	s.BundleHandler("").ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/admin/debug/bundle", nil))
+	s.BundleHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/admin/debug/bundle", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d", rr.Code)
 	}
@@ -173,7 +165,7 @@ func TestBundleHandlerServesTarGz(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	s.BundleHandler("").ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/admin/debug/bundle?cpu=bogus", nil))
+	s.BundleHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/admin/debug/bundle?cpu=bogus", nil))
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("bad cpu param: status %d, want 400", rr.Code)
 	}

@@ -14,7 +14,7 @@ import (
 
 func testWorker(t *testing.T, spec StreamSpec, cfg Config) *worker {
 	t.Helper()
-	w, err := newWorker(spec, cfg.withDefaults(), nil, notify.NewHub(notify.Config{}))
+	w, err := newWorker(spec, cfg.withDefaults(), notify.NewHub(notify.Config{}), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

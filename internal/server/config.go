@@ -52,8 +52,9 @@ const (
 type StreamSpec struct {
 	// Name identifies the stream in every endpoint's ?stream= parameter.
 	// Names are restricted to 1-128 characters of [A-Za-z0-9._-] (and may
-	// not be "." or ".."): they are embedded in checkpoint file paths, so
-	// path separators and traversal sequences must be unrepresentable.
+	// not be "." or ".."): they name the stream's write-ahead-log
+	// directory, so path separators and traversal sequences must be
+	// unrepresentable.
 	Name string `json:"name"`
 	// Tracker picks the algorithm (see tdnstream.TrackerAlgos).
 	Tracker tdnstream.TrackerSpec `json:"tracker"`
@@ -61,11 +62,13 @@ type StreamSpec struct {
 	Lifetime tdnstream.LifetimeSpec `json:"lifetime"`
 	// TimeMode is TimeEvent (default) or TimeArrival.
 	TimeMode string `json:"time_mode,omitempty"`
-	// WAL opts the stream out of the server's write-ahead log: "" or
-	// "on" logs every acknowledged ingest chunk (when Config.WALDir is
-	// set), "off" keeps this stream checkpoint-only — for purely
-	// reproducible feeds where replaying the source is cheaper than
-	// logging it. Without a server WAL directory the field is inert.
+	// WAL opts the stream's ingest chunks out of the server's
+	// write-ahead log: "" or "on" logs every acknowledged ingest chunk
+	// (when Config.WALDir is set), "off" leaves the log holding only the
+	// stream's snapshots, so a restart recovers the newest one — for
+	// purely reproducible feeds where replaying the source is cheaper
+	// than logging it. Without a server WAL directory the field is
+	// inert.
 	WAL string `json:"wal,omitempty"`
 	// Token, when non-empty, gates the stream's mutating and costly
 	// endpoints (ingest, explain, admin checkpoint/restore, delete, and
@@ -73,15 +76,15 @@ type StreamSpec struct {
 	// in constant time; 401 on mismatch). Read-only snapshot endpoints
 	// (/v1/topk, /v1/streams, /healthz, /metrics) stay open. The token is
 	// never reported back: stream listings omit it and checkpoint
-	// envelopes are written with it redacted — an in-place restore keeps
-	// the hosted stream's token, and a stream re-created purely from a
-	// checkpoint file starts open until a spec re-supplies one.
+	// envelopes are written with it redacted — an in-place restore and a
+	// restart keep the hosting spec's token, and a stream re-created
+	// purely from a checkpoint starts open until a spec re-supplies one.
 	Token string `json:"token,omitempty"`
 }
 
 // validStreamName reports whether a stream name is safe to host. Names
-// reach the filesystem (checkpoint files are named <dir>/<name>.ckpt) and
-// arrive over unauthenticated HTTP, so the charset must make traversal
+// reach the filesystem (the stream's log is <WALDir>/<name>) and arrive
+// over unauthenticated HTTP, so the charset must make traversal
 // unrepresentable: no separators, no "..".
 func validStreamName(name string) bool {
 	if name == "" || len(name) > 128 || name == "." || name == ".." {
@@ -161,8 +164,10 @@ type Config struct {
 	// WALDir enables the write-ahead log: one segmented append log per
 	// stream under this directory (WALDir/<stream>/), written before
 	// ingest acknowledges — 200 OK then means the record survives a
-	// process kill, and (with WALFsync "always") a machine crash. Empty
-	// disables the WAL: durability stays checkpoint-only.
+	// process kill, and (with WALFsync "always") a machine crash. The
+	// log also holds the stream's snapshots (CheckpointAll, restores),
+	// so New re-hosts every stream whose log holds one. Empty disables
+	// durability: streams live in memory only.
 	WALDir string
 	// WALFsync is the log's fsync policy: wal.FsyncAlways,
 	// wal.FsyncInterval (the default) or wal.FsyncNone. See the wal
@@ -171,15 +176,15 @@ type Config struct {
 	// WALFsyncInterval is the FsyncInterval cadence (default 100ms).
 	WALFsyncInterval time.Duration
 	// WALSegmentBytes rotates log segments at this size (default 64
-	// MiB); checkpoint-covered history is truncated whole segments at a
+	// MiB); snapshot-covered history is truncated whole segments at a
 	// time.
 	WALSegmentBytes int64
 	// WALCommitShards splits the FsyncAlways group-commit wait queue
 	// across this many shards (see wal.Options.CommitShards). 0 picks
 	// min(GOMAXPROCS, 16); 1 restores a single queue.
 	WALCommitShards int
-	// FS is the filesystem seam the write-ahead logs and file savers go
-	// through (nil = the real OS). Fault-injection tests install a
+	// FS is the filesystem seam the write-ahead logs go through (nil =
+	// the real OS). Fault-injection tests install a
 	// fault.Injector here; when FS is nil but Fault is set, Fault is
 	// used, so one knob wires both the seam and the admin endpoint.
 	FS fault.FS
@@ -187,9 +192,9 @@ type Config struct {
 	// harnesses install and clear fault rules over HTTP while the daemon
 	// runs. Nil (the default) leaves the endpoint absent (404).
 	Fault *fault.Injector
-	// Clock supplies time to the degraded-stream repair loop and the
-	// checkpoint retry backoff (nil = wall clock); fault tests pass a
-	// fake to make backoff schedules deterministic.
+	// Clock supplies time to the degraded-stream repair loop (nil = wall
+	// clock); fault tests pass a fake to make backoff schedules
+	// deterministic.
 	Clock fault.Clock
 	// RepairBackoff is the initial delay before a degraded stream's
 	// background repair attempt, doubling per failure up to
@@ -198,13 +203,6 @@ type Config struct {
 	// snapshot; a successful repair flips the stream back to healthy.
 	RepairBackoff    time.Duration
 	RepairBackoffMax time.Duration
-	// CheckpointRetries bounds how many times CheckpointAll re-runs a
-	// failed SaveFunc before giving up on that stream for the round
-	// (default 3 retries), sleeping CheckpointRetryBackoff (default
-	// 50ms, doubling) between attempts — transient mkdir/rename ENOSPC
-	// heals within a round instead of waiting a whole interval.
-	CheckpointRetries      int
-	CheckpointRetryBackoff time.Duration
 	// Logger receives the server's structured log records: degradation
 	// and repair transitions, 5xx responses, slow-request traces. Nil
 	// means slog.Default().
@@ -262,7 +260,7 @@ type Config struct {
 	DisableAudit bool
 	// Flight, when non-nil, is the black-box flight recorder: every
 	// significant lifecycle transition (WAL degrade/repair, checkpoint
-	// save/retry, restores, subscriber evictions, audit floor crossings,
+	// snapshots, restores, subscriber evictions, audit floor crossings,
 	// watermark crossings, fault-rule hits, worker stalls) is recorded
 	// into its bounded ring, and the diagnostics bundle dumps it. Nil
 	// disables recording — every Record site is nil-safe.
@@ -319,15 +317,6 @@ func (c Config) withDefaults() Config {
 	if c.RepairBackoffMax <= 0 {
 		c.RepairBackoffMax = 5 * time.Second
 	}
-	switch {
-	case c.CheckpointRetries == 0:
-		c.CheckpointRetries = 3
-	case c.CheckpointRetries < 0: // explicit opt-out
-		c.CheckpointRetries = 0
-	}
-	if c.CheckpointRetryBackoff <= 0 {
-		c.CheckpointRetryBackoff = 50 * time.Millisecond
-	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = 256
 	}
@@ -370,7 +359,7 @@ func (c Config) fs() fault.FS {
 	return fault.OS()
 }
 
-// clock resolves the time seam for repair and retry backoffs.
+// clock resolves the time seam for repair backoffs.
 func (c Config) clock() fault.Clock {
 	if c.Clock != nil {
 		return c.Clock
@@ -378,8 +367,8 @@ func (c Config) clock() fault.Clock {
 	return fault.WallClock()
 }
 
-// walFor reports whether a stream runs with the write-ahead log: the
-// server must have a WAL directory and the stream must not opt out.
+// walFor reports whether a stream logs its ingest chunks: the server
+// must have a WAL directory and the stream must not opt out.
 func (c Config) walFor(spec StreamSpec) bool {
 	return c.WALDir != "" && spec.WAL != WALOff
 }

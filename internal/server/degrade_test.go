@@ -1,9 +1,7 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -224,60 +222,6 @@ func TestDegradedRepairRoundTrip(t *testing.T) {
 	wkA2, _ := sA2.stream("s")
 	if got := observed(wkA2); !reflect.DeepEqual(got, b) {
 		t.Fatalf("replayed state diverged from control:\n%+v\nvs\n%+v", got, b)
-	}
-}
-
-// TestCheckpointSaveRetries verifies CheckpointAll retries a transiently
-// failing SaveFunc within the round (counting checkpoint_retries_total)
-// and still reports an error when the failure outlasts the budget.
-func TestCheckpointSaveRetries(t *testing.T) {
-	cfg := Config{
-		WALDir:                 t.TempDir(),
-		CheckpointRetries:      3,
-		CheckpointRetryBackoff: time.Millisecond,
-		Streams:                []StreamSpec{testSpec("s")},
-	}
-	s, ts := newTestServer(t, cfg)
-	wk, _ := s.stream("s")
-	if code, _ := post(t, ts.URL+"/v1/ingest?stream=s", ctNDJSON, ndjsonBody(t, walRows(10, 1))); code != http.StatusOK {
-		t.Fatal("seed ingest failed")
-	}
-	waitProcessed(t, wk, 10)
-
-	fails := 2
-	saved := 0
-	err := s.CheckpointAll(context.Background(), func(name string, data []byte) error {
-		if fails > 0 {
-			fails--
-			return syscall.ENOSPC
-		}
-		saved++
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("CheckpointAll with transient failures: %v", err)
-	}
-	if saved != 1 {
-		t.Fatalf("saved %d times, want 1", saved)
-	}
-	if got := wk.m.ckptRetries.Load(); got != 2 {
-		t.Fatalf("checkpoint retries = %d, want 2", got)
-	}
-
-	// A persistent failure exhausts the budget: 1 attempt + 3 retries.
-	attempts := 0
-	err = s.CheckpointAll(context.Background(), func(name string, data []byte) error {
-		attempts++
-		return syscall.ENOSPC
-	})
-	if err == nil || !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("persistent failure not reported: %v", err)
-	}
-	if attempts != 4 {
-		t.Fatalf("attempts = %d, want 4", attempts)
-	}
-	if got := wk.m.ckptRetries.Load(); got != 5 {
-		t.Fatalf("cumulative retries = %d, want 5", got)
 	}
 }
 

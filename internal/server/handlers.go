@@ -455,7 +455,7 @@ func (s *Server) infoFor(wk *worker) streamInfo {
 	var walOn bool
 	var walBytes int64
 	var walApplied *walAppliedJSON
-	if wk.wlog != nil {
+	if wk.logChunks {
 		walOn = true
 		walBytes = wk.wlog.Stats().Bytes
 		walApplied = &walAppliedJSON{

@@ -45,7 +45,7 @@ func (s *Server) healthComponents() (float64, map[string]float64) {
 		if w.degraded.Load() {
 			degraded++
 		}
-		if w.wlog != nil {
+		if w.logChunks {
 			walStreams++
 			if w.degraded.Load() {
 				walDegraded++

@@ -28,7 +28,6 @@ type streamMetrics struct {
 	walAppended   atomic.Uint64 // records appended to the write-ahead log before their ack
 	walReplayed   atomic.Uint64 // records rebuilt from the log by crash recovery
 	walRepairs    atomic.Uint64 // successful background repairs of a degraded log
-	ckptRetries   atomic.Uint64 // checkpoint save attempts retried after transient failures
 	processed     atomic.Uint64 // records fed to the tracker
 	steps         atomic.Uint64 // tracker steps taken
 	chunks        atomic.Uint64 // chunks drained from the queue
@@ -48,9 +47,9 @@ type streamMetrics struct {
 // checkpointCounters snapshots the stream-logical counters in envelope
 // form, with the watermark-consistent Ingested convention: acknowledged
 // records are appended to the WAL before they are counted ingested, so
-// acked-but-unprocessed records sit past the watermark and re-count
-// themselves on replay — the envelope stores ingested as the sum of the
-// settled classes instead of the live counter.
+// acked-but-unprocessed records sit past the covered position and
+// re-count themselves on replay — the envelope stores ingested as the
+// sum of the settled classes instead of the live counter.
 func (m *streamMetrics) checkpointCounters() checkpointCounters {
 	c := checkpointCounters{
 		Processed:    m.processed.Load(),
@@ -64,7 +63,7 @@ func (m *streamMetrics) checkpointCounters() checkpointCounters {
 	return c
 }
 
-// seed initializes the stream-logical counters from a checkpoint at
+// seed initializes the stream-logical counters from an envelope at
 // worker creation (before any goroutine can observe them): a rebooted
 // stream continues its counter history instead of restarting at zero.
 func (m *streamMetrics) seed(c checkpointCounters) {
@@ -231,10 +230,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 			p("influtrackd_topk_value{stream=%q} %d\n", r.name, snap.Solution.Value)
 		}
 	}
-	counter("checkpoint_retries_total", "Checkpoint save attempts retried after a transient failure (bounded by CheckpointRetries per round).")
-	for _, r := range rows {
-		p("influtrackd_checkpoint_retries_total{stream=%q} %d\n", r.name, r.w.m.ckptRetries.Load())
-	}
 
 	// Engine-introspection surface: the worker-cached tracker reports
 	// (refreshed at each snapshot publish unless DisableEngineStats).
@@ -339,7 +334,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 	var walRows []walRow
 	for _, r := range rows {
-		if r.w.wlog != nil {
+		if r.w.logChunks {
 			walRows = append(walRows, walRow{r.name, r.w, r.w.wlog.Stats()})
 		}
 	}

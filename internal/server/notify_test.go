@@ -398,7 +398,7 @@ func TestRestoreSeqContinuity(t *testing.T) {
 	// Restore into a brand-new server: the first publish there must stamp
 	// past the checkpointed counter.
 	s2, ts2 := newTestServer(t, Config{})
-	if _, err := s2.Restore(t.Context(), []byte(ckpt)); err != nil {
+	if _, err := s2.Restore(testContext(t), []byte(ckpt)); err != nil {
 		t.Fatal(err)
 	}
 	w2, _ := s2.stream("cont")

@@ -321,8 +321,10 @@ func TestQualitySuppressedWhileDegraded(t *testing.T) {
 	wk, _ := s.stream("d")
 	waitProcessed(t, wk, 50)
 
+	// The chunk's publish (and the audit it makes due) finishes after
+	// the counter moves: wait for the worker to go idle first.
 	deadline := time.Now().Add(5 * time.Second)
-	for wk.auditRep.Load() == nil {
+	for wk.auditRep.Load() == nil || wk.queueDepth() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no background audit after the first publish")
 		}

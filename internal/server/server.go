@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,7 +63,10 @@ type Server struct {
 	handler http.Handler
 }
 
-// New builds a server hosting cfg.Streams.
+// New builds a server hosting cfg.Streams and, with a WAL directory,
+// every other stream whose log there holds a snapshot — streams created
+// over HTTP or by a restore in an earlier run. Each stream recovers its
+// pre-crash state from its log before New returns.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.WALDir != "" && !wal.ValidFsyncPolicy(cfg.WALFsync) {
@@ -101,6 +105,10 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	if err := s.hostLogged(); err != nil {
+		s.Close()
+		return nil, err
+	}
 	if cfg.StallCheckInterval > 0 {
 		s.watchdogStop = make(chan struct{})
 		go s.watchdogLoop()
@@ -111,12 +119,48 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// AddStream creates and starts a new hosted stream.
+// AddStream creates and starts a new hosted stream. With a WAL
+// directory the stream recovers whatever its log there holds: the
+// newest snapshot (whose spec wins over spec, bar the token and wal=
+// setting) and the chunks after it.
 func (s *Server) AddStream(spec StreamSpec) error {
-	return s.addWorker(spec, nil)
+	return s.addWorker(spec, nil, false)
 }
 
-func (s *Server) addWorker(spec StreamSpec, ckpt *checkpointEnvelope) error {
+// hostLogged hosts every valid stream directory under WALDir that no
+// hosted stream claims and whose log holds a snapshot, under the spec
+// the snapshot carries. Directories without one are left alone: there is
+// no spec to build them from (a POST /v1/streams naming them replays
+// their log from genesis).
+func (s *Server) hostLogged() error {
+	if s.cfg.WALDir == "" {
+		return nil
+	}
+	entries, err := s.cfg.fs().ReadDir(s.cfg.WALDir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("server: %w", err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() || !validStreamName(e.Name()) {
+			continue
+		}
+		if _, hosted := s.stream(e.Name()); hosted {
+			continue
+		}
+		err := s.addWorker(StreamSpec{Name: e.Name()}, nil, true)
+		if err != nil && !errors.Is(err, errNoSnapshot) {
+			return err
+		}
+	}
+	return nil
+}
+
+// addWorker reserves spec.Name and builds its worker (see newWorker for
+// from and adopt).
+func (s *Server) addWorker(spec StreamSpec, from *checkpointEnvelope, adopt bool) error {
 	// Reserve the name, then build the worker OUTSIDE the lock: creation
 	// replays the stream's write-ahead log, which after a crash can mean
 	// tens of seconds of work — holding mu for it would stall every
@@ -135,7 +179,7 @@ func (s *Server) addWorker(spec StreamSpec, ckpt *checkpointEnvelope) error {
 	s.creating[spec.Name] = true
 	s.mu.Unlock()
 
-	w, err := newWorker(spec, s.cfg, ckpt, s.hub)
+	w, err := newWorker(spec, s.cfg, s.hub, from, adopt)
 
 	s.mu.Lock()
 	delete(s.creating, spec.Name)
@@ -239,112 +283,57 @@ func (s *Server) CloseSubscriptions() {
 	}
 }
 
-// Checkpoint serializes one stream's state (tracker + labels + clock), for
-// embedders that bypass HTTP (cmd/influtrackd's shutdown checkpointing).
-// It never truncates the stream's write-ahead log — the caller may
-// discard the bytes; only CheckpointAll, which proves the save, does.
+// Checkpoint serializes one stream's state (tracker + labels + clock) —
+// the body POST /v1/admin/checkpoint answers, which Restore accepts on
+// this or any other server. It writes nothing: CheckpointAll is what
+// logs snapshots.
 func (s *Server) Checkpoint(ctx context.Context, name string) ([]byte, error) {
-	data, _, _, err := s.checkpointStream(ctx, name)
-	return data, err
-}
-
-// checkpointStream runs one stream's checkpoint on its worker goroutine
-// and returns the envelope, the WAL watermark it covers, and the worker
-// handle itself — callers that truncate after a save must truncate
-// *this* worker's log, not re-resolve the name (a DELETE+recreate
-// in between would otherwise point the old watermark at the new
-// incarnation's log).
-func (s *Server) checkpointStream(ctx context.Context, name string) ([]byte, wal.Pos, *worker, error) {
 	w, ok := s.stream(name)
 	if !ok {
-		return nil, wal.Pos{}, nil, fmt.Errorf("server: unknown stream %q", name)
+		return nil, fmt.Errorf("server: unknown stream %q", name)
 	}
 	var data []byte
-	var mark wal.Pos
 	var cerr error
-	if err := w.do(ctx, func() { data, mark, cerr = w.checkpoint() }); err != nil {
-		return nil, wal.Pos{}, nil, err
+	if err := w.do(ctx, func() { data, _, cerr = w.checkpoint() }); err != nil {
+		return nil, err
 	}
-	return data, mark, w, cerr
+	return data, cerr
 }
 
-// SaveFunc persists one stream's checkpoint bytes; CheckpointAll and
-// PeriodicCheckpoints call it once per hosted stream. Implementations
-// that write files should write-then-rename so a crash mid-save never
-// leaves a truncated checkpoint where a good one was.
-type SaveFunc func(name string, data []byte) error
-
-// CheckpointAll checkpoints every hosted stream through save. One stream
-// failing (e.g. a tracker without snapshot support) does not cost the
-// others their checkpoint; every failure is reported in the joined
-// error.
-//
-// A save that succeeds licenses truncating the stream's write-ahead
-// log up to the checkpoint's watermark: those records are durably
-// covered twice over. The order is strict and per-stream — serialize
-// (worker goroutine) → save → truncate — the same ordering the
-// tmp+rename file saver gives the checkpoint itself, so a failed or
-// crashed save can never have advanced the truncation point: recovery
-// then still has the full log behind the previous checkpoint.
-func (s *Server) CheckpointAll(ctx context.Context, save SaveFunc) error {
+// CheckpointAll appends a snapshot of every hosted stream to the
+// stream's write-ahead log, syncs it, and truncates the segments the
+// snapshot covers, so recovery starts from the snapshot and the log's
+// footprint stays near one checkpoint interval of traffic. Streams idle
+// since their newest snapshot are skipped. Without a WAL directory there
+// is nothing to do. One stream failing (e.g. a tracker without snapshot
+// support, or a faulted disk) does not cost the others their
+// checkpoint; every failure is reported in the joined error.
+func (s *Server) CheckpointAll(ctx context.Context) error {
 	var errs []error
 	for _, name := range s.StreamNames() {
-		data, mark, w, err := s.checkpointStream(ctx, name)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("stream %q: %w", name, err))
+		w, ok := s.stream(name)
+		if !ok || w.wlog == nil {
 			continue
 		}
-		if err := s.saveWithRetry(w, name, data, save); err != nil {
-			errs = append(errs, fmt.Errorf("stream %q: %w", name, err))
-			continue // an unsaved checkpoint proves nothing: keep the log
+		var cerr error
+		if err := w.do(ctx, func() { cerr = w.logCheckpoint() }); err != nil {
+			cerr = err
 		}
-		s.cfg.Flight.Record(obs.EventCheckpointSaved, name, "checkpoint persisted", "",
-			"bytes", fmt.Sprintf("%d", len(data)),
-			"watermark_seg", fmt.Sprintf("%d", mark.Seg),
-			"watermark_off", fmt.Sprintf("%d", mark.Off))
-		// Truncate the checkpointed worker's log specifically: if the
-		// stream was deleted (and possibly re-created) while the save
-		// ran, the watermark describes the old incarnation's log only.
-		if err := w.truncateWAL(mark); err != nil {
-			errs = append(errs, fmt.Errorf("stream %q: %w", name, err))
-		} else if w.wlog != nil {
-			s.cfg.Flight.Record(obs.EventWALTruncated, name, "checkpoint-covered segments truncated", "",
-				"watermark_seg", fmt.Sprintf("%d", mark.Seg))
+		if cerr != nil {
+			errs = append(errs, fmt.Errorf("stream %q: %w", name, cerr))
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// saveWithRetry runs save with bounded retries: a transient failure
-// (ENOSPC during a disk-full window, a flaky network filesystem) heals
-// within this checkpoint round instead of forfeiting the round and
-// waiting a whole interval with the WAL untruncated. Backoff doubles
-// from CheckpointRetryBackoff; retries are counted per stream in
-// checkpoint_retries_total. The checkpoint bytes are immutable across
-// attempts, so a retry can never save a different state than the first
-// attempt claimed.
-func (s *Server) saveWithRetry(w *worker, name string, data []byte, save SaveFunc) error {
-	err := save(name, data)
-	backoff := s.cfg.CheckpointRetryBackoff
-	for attempt := 0; err != nil && attempt < s.cfg.CheckpointRetries; attempt++ {
-		w.m.ckptRetries.Add(1)
-		s.cfg.Flight.Record(obs.EventCheckpointRetry, name, "checkpoint save failed, retrying", err.Error(),
-			"attempt", fmt.Sprintf("%d", attempt+1))
-		s.cfg.clock().Sleep(backoff)
-		backoff *= 2
-		err = save(name, data)
-	}
-	return err
-}
-
-// PeriodicCheckpoints checkpoints every hosted stream each interval
-// until ctx is canceled — the background durability loop behind
-// influtrackd's -checkpoint-interval, bounding how much stream history a
-// crash can lose to one interval. It blocks (callers run it in a
-// goroutine); save errors are reported to onErr (may be nil) and the
-// loop keeps going. Saves run through the per-stream worker goroutines,
-// so they serialize with ingest exactly like admin checkpoints.
-func (s *Server) PeriodicCheckpoints(ctx context.Context, every time.Duration, save SaveFunc, onErr func(error)) {
+// PeriodicCheckpoints runs CheckpointAll every interval until ctx is
+// canceled — the background loop behind influtrackd's
+// -checkpoint-interval, bounding both the log's footprint and the replay
+// a restart pays. It blocks (callers run it in a goroutine); errors are
+// reported to onErr (may be nil) and the loop keeps going. Checkpoints
+// run on the per-stream worker goroutines, so they serialize with ingest
+// exactly like admin checkpoints.
+func (s *Server) PeriodicCheckpoints(ctx context.Context, every time.Duration, onErr func(error)) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -352,7 +341,7 @@ func (s *Server) PeriodicCheckpoints(ctx context.Context, every time.Duration, s
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			err := s.CheckpointAll(ctx, save)
+			err := s.CheckpointAll(ctx)
 			// A tick caught mid-flight by cancellation fails with the
 			// context's error — that is shutdown, not a checkpoint problem,
 			// and reporting it would log a spurious failure on every
@@ -366,16 +355,10 @@ func (s *Server) PeriodicCheckpoints(ctx context.Context, every time.Duration, s
 
 // Restore applies a checkpoint: into the named stream if it is hosted,
 // otherwise by creating the stream from the spec embedded in the
-// checkpoint. Returns the stream name.
-//
-// With a write-ahead log, an in-place restore is itself logged — a
-// restore marker carrying the envelope — before the swap, keeping the
-// log a linear history of everything that happened to the stream:
-// crash recovery replays chunks into the old state, swaps at the
-// marker, and continues, so even restore-then-ingest-then-crash
-// recovers exactly. A restore that creates the stream replays the
-// local log tail past the checkpoint's watermark when the checkpoint's
-// log identity matches — the startup crash-recovery path.
+// checkpoint. Returns the stream name. With a write-ahead log the
+// restore is itself logged, as a snapshot frame covering everything
+// before it, so crash recovery starts from the restored state and
+// replays only what was ingested after it.
 func (s *Server) Restore(ctx context.Context, data []byte) (string, error) {
 	env, err := decodeCheckpoint(data)
 	if err != nil {
@@ -388,28 +371,5 @@ func (s *Server) Restore(ctx context.Context, data []byte) (string, error) {
 		}
 		return env.Spec.Name, rerr
 	}
-	return env.Spec.Name, s.addWorker(env.Spec, env)
-}
-
-// RestoreWithSpec hosts a stream from a checkpoint at startup, carrying
-// over the serving-only fields a checkpoint deliberately omits or that
-// the operator controls per-boot: the spec's bearer token (envelopes
-// are token-redacted) and its WAL toggle. The overlay is chosen by the
-// stream name *inside* the envelope — never by whatever filename the
-// checkpoint traveled under, so a renamed or copied .ckpt cannot strip
-// a stream's token or attach another stream's. Everything else —
-// algorithm, lifetime, time mode — comes from the checkpoint, exactly
-// like Restore. The stream must not be hosted yet: this is the
-// restore-before-create boot path, which lets newWorker replay the
-// stream's write-ahead log tail on top of the checkpoint.
-func (s *Server) RestoreWithSpec(data []byte, overlays map[string]*StreamSpec) (string, error) {
-	env, err := decodeCheckpoint(data)
-	if err != nil {
-		return "", err
-	}
-	if overlay := overlays[env.Spec.Name]; overlay != nil {
-		env.Spec.Token = overlay.Token
-		env.Spec.WAL = overlay.WAL
-	}
-	return env.Spec.Name, s.addWorker(env.Spec, env)
+	return env.Spec.Name, s.addWorker(env.Spec, env, false)
 }

@@ -43,6 +43,13 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// testContext returns a context canceled when the test ends.
+func testContext(t *testing.T) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return ctx
+}
+
 // ndjsonBody renders interactions as an NDJSON ingest body with string
 // labels n<i>.
 func ndjsonBody(t *testing.T, in []tdnstream.Interaction) string {
@@ -86,7 +93,9 @@ func get(t *testing.T, url string) (int, []byte) {
 func waitProcessed(t *testing.T, w *worker, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for w.m.processed.Load()+w.m.staleDrop.Load() < n {
+	// The counter moves just before the chunk's snapshot publish: also
+	// wait for the published snapshot to catch up with it.
+	for w.m.processed.Load()+w.m.staleDrop.Load() < n || w.snapshot().Processed != w.m.processed.Load() {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out: processed %d + stale %d of %d",
 				w.m.processed.Load(), w.m.staleDrop.Load(), n)
@@ -296,7 +305,7 @@ func TestCheckpointDrainsQueue(t *testing.T) {
 	var cerr error
 	done := make(chan error, 1)
 	go func() {
-		done <- w.do(t.Context(), func() {
+		done <- w.do(testContext(t), func() {
 			close(started)
 			<-queued
 			data, _, cerr = w.checkpoint()
@@ -417,7 +426,7 @@ func TestBackpressure(t *testing.T) {
 	// Wedge the worker between chunks.
 	release := make(chan struct{})
 	wedged := make(chan struct{})
-	go w.do(t.Context(), func() { close(wedged); <-release })
+	go w.do(testContext(t), func() { close(wedged); <-release })
 	<-wedged
 	defer close(release)
 
@@ -511,7 +520,7 @@ func TestStreamLifecycleAndErrors(t *testing.T) {
 		t.Fatalf("bad algo create: %d", code)
 	}
 
-	// Stream names reach checkpoint file paths: traversal and separator
+	// Stream names reach WAL directory paths: traversal and separator
 	// characters must be rejected outright.
 	for _, name := range []string{"../../etc/evil", "a/b", "..", ".", "a b", strings.Repeat("x", 129)} {
 		evil, _ := json.Marshal(testSpec(name))
@@ -1001,7 +1010,7 @@ func TestRestoreSupersedesQueuedChunks(t *testing.T) {
 	var rerr error
 	done := make(chan error, 1)
 	go func() {
-		done <- w.do(t.Context(), func() {
+		done <- w.do(testContext(t), func() {
 			close(started)
 			<-queued
 			rerr = w.restore(env)
@@ -1043,79 +1052,63 @@ func TestRestoreSupersedesQueuedChunks(t *testing.T) {
 
 // TestPeriodicCheckpointCrashRestore: with background checkpointing, a
 // hard crash after the interval (no graceful shutdown checkpoint) loses
-// at most one interval — the last periodic save restores the recent
-// state.
+// at most one interval — the last periodic snapshot restores the recent
+// state. The stream logs no chunks (wal=off), so its log holds nothing
+// but those snapshots.
 func TestPeriodicCheckpointCrashRestore(t *testing.T) {
 	in, err := tdnstream.Dataset("brightkite", 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := newTestServer(t, Config{Streams: []StreamSpec{testSpec("pc")}})
+	walDir := t.TempDir()
+	spec := testSpec("pc")
+	spec.WAL = WALOff
+	s, ts := newTestServer(t, Config{WALDir: walDir, Streams: []StreamSpec{spec}})
 	w, _ := s.stream("pc")
 	post(t, ts.URL+"/v1/ingest?stream=pc", ctNDJSON, ndjsonBody(t, in))
 	waitProcessed(t, w, uint64(len(in)))
 	want := topK(t, ts.URL, "pc")
 
-	var mu sync.Mutex
-	saved := map[string][]byte{}
-	ctx, cancel := context.WithCancel(t.Context())
+	ctx, cancel := context.WithCancel(testContext(t))
 	defer cancel()
 	loopDone := make(chan struct{})
 	go func() {
 		defer close(loopDone)
-		s.PeriodicCheckpoints(ctx, 5*time.Millisecond, func(name string, data []byte) error {
-			mu.Lock()
-			saved[name] = data
-			mu.Unlock()
-			return nil
-		}, func(err error) { t.Error(err) })
+		s.PeriodicCheckpoints(ctx, 5*time.Millisecond, func(err error) { t.Error(err) })
 	}()
 
-	// Wait for a background save that includes the full ingest.
+	// Wait for a background snapshot that includes the full ingest.
 	deadline := time.Now().Add(10 * time.Second)
-	var ckpt []byte
-	for ckpt == nil {
+	for captured := false; !captured; {
 		if time.Now().After(deadline) {
 			t.Fatal("no background checkpoint captured the ingested state")
 		}
-		mu.Lock()
-		data := saved["pc"]
-		mu.Unlock()
-		if data != nil {
-			trk, err := tdnstream.LoadTracker(bytes.NewReader(decodeCheckpointTracker(t, data)))
+		env, _, err := w.newestSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env != nil {
+			trk, err := tdnstream.LoadTracker(bytes.NewReader(env.Tracker))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if now, _ := tdnstream.TrackerNow(trk); now == want.T {
-				ckpt = data
-			}
+			now, _ := tdnstream.TrackerNow(trk)
+			captured = now == want.T
 		}
-		if ckpt == nil {
+		if !captured {
 			time.Sleep(time.Millisecond)
 		}
 	}
 	cancel()   // stop the background loop…
 	<-loopDone // …and join it, so a late onErr can never outlive the test
 
-	// "Crash": restore the periodic copy into a brand-new server without
-	// any graceful-shutdown checkpoint from the first one.
-	s2, ts2 := newTestServer(t, Config{})
-	if _, err := s2.Restore(t.Context(), ckpt); err != nil {
-		t.Fatal(err)
-	}
+	// "Crash": abandon the first server without any graceful-shutdown
+	// checkpoint and boot a brand-new one over its directory.
+	ts.Close()
+	s.Close()
+	_, ts2 := newTestServer(t, Config{WALDir: walDir})
 	got := topK(t, ts2.URL, "pc")
 	if got.Value != want.Value || !reflect.DeepEqual(got.Seeds, want.Seeds) || got.T != want.T {
 		t.Fatalf("crash restore diverges: got %+v, want %+v", got, want)
 	}
-}
-
-// decodeCheckpointTracker extracts the tracker blob from a server
-// checkpoint body.
-func decodeCheckpointTracker(t *testing.T, data []byte) []byte {
-	t.Helper()
-	env, err := decodeCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env.Tracker
 }

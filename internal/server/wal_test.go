@@ -4,17 +4,20 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"tdnstream"
+	"tdnstream/internal/fault"
 	"tdnstream/internal/notify"
+	"tdnstream/internal/obs"
 	"tdnstream/internal/wal"
 )
 
@@ -32,70 +35,6 @@ func walRows(n int, t0 int64) []tdnstream.Interaction {
 		rows[i] = tdnstream.Interaction{Src: src, Dst: dst, T: t0 + int64(i/5)}
 	}
 	return rows
-}
-
-// dirSaver is the tests' stand-in for influtrackd's tmp+rename file
-// saver.
-func dirSaver(dir string) SaveFunc {
-	return func(name string, data []byte) error {
-		tmp := filepath.Join(dir, name+".tmp")
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			return err
-		}
-		return os.Rename(tmp, filepath.Join(dir, name+".ckpt"))
-	}
-}
-
-// bootServer mirrors influtrackd's boot sequence: restore every
-// checkpoint file first (creating workers that replay their WAL tails),
-// then create the flag streams that no checkpoint restored.
-func bootServer(t *testing.T, cfg Config, ckptDir string, specs []StreamSpec) (*Server, *httptest.Server) {
-	t.Helper()
-	cfg.Streams = nil
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ckptDir != "" {
-		entries, err := os.ReadDir(ckptDir)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			t.Fatal(err)
-		}
-		overlays := make(map[string]*StreamSpec, len(specs))
-		for i := range specs {
-			overlays[specs[i].Name] = &specs[i]
-		}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), ".ckpt") {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(ckptDir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.RestoreWithSpec(data, overlays); err != nil {
-				t.Fatalf("restore %s: %v", e.Name(), err)
-			}
-		}
-	}
-	hosted := make(map[string]bool)
-	for _, n := range s.StreamNames() {
-		hosted[n] = true
-	}
-	for _, spec := range specs {
-		if hosted[spec.Name] {
-			continue
-		}
-		if err := s.AddStream(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, ts
 }
 
 // streamInfoOf fetches one stream's /v1/streams entry.
@@ -125,7 +64,8 @@ func streamInfoOf(t *testing.T, base, name string) streamInfo {
 func waitConverged(t *testing.T, w *worker, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for w.m.processed.Load()+w.m.staleDrop.Load()+w.m.failed.Load()+w.m.superseded.Load() < n {
+	for w.m.processed.Load()+w.m.staleDrop.Load()+w.m.failed.Load()+w.m.superseded.Load() < n ||
+		w.snapshot().Processed != w.m.processed.Load() {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out converging on %d records", n)
 		}
@@ -164,14 +104,13 @@ func requireSameAnswer(t *testing.T, label string, got, want topKResponse, gotIn
 	}
 }
 
-// TestWALCrashRecoveryExact is the PR acceptance property: ingest N
+// TestWALCrashRecoveryExact is the crash-recovery property: ingest N
 // records, checkpoint mid-stream (with WAL truncation), keep ingesting,
-// hard-abandon the server with no drain, and rebuild from checkpoint +
-// WAL tail. The recovered top-k and stream counters must be identical
+// hard-abandon the server with no drain, and rebuild from the snapshot
+// + WAL tail. The recovered top-k and stream counters must be identical
 // to an uninterrupted run over the same input — acked-record loss zero.
 func TestWALCrashRecoveryExact(t *testing.T) {
 	spec := testSpec("crash")
-	ckptDir := t.TempDir()
 	cfg := Config{
 		Streams:         []StreamSpec{spec},
 		MaxChunk:        100,
@@ -191,10 +130,10 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 		t.Fatalf("post 1: %d: %s", code, body)
 	}
 	waitProcessed(t, wA, 1000)
-	if err := a.CheckpointAll(context.Background(), dirSaver(ckptDir)); err != nil {
+	if err := a.CheckpointAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// The durably saved checkpoint licensed truncating covered history:
+	// The synced snapshot licensed truncating covered history:
 	// with 2 KiB segments and ~100-row records, segments must have gone.
 	if start := wA.wlog.Start(); start.Seg == 0 {
 		t.Fatalf("checkpoint did not truncate the WAL (start still %v)", start)
@@ -212,7 +151,7 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	tsA.Close()
 	a.Close()
 
-	b, tsB := bootServer(t, cfg, ckptDir, []StreamSpec{spec})
+	b, tsB := newTestServer(t, cfg)
 	wB, _ := b.stream("crash")
 	if wB.m.walReplayed.Load() == 0 {
 		t.Fatal("recovery replayed nothing")
@@ -249,22 +188,20 @@ func TestWALCrashRecoveryExact(t *testing.T) {
 	// reset it — otherwise its next checkpoint records position zero
 	// and the boot after that re-applies (or, post-truncation, fails
 	// to find) the whole log.
-	ckptDir2 := t.TempDir()
-	if err := b.CheckpointAll(context.Background(), dirSaver(ckptDir2)); err != nil {
+	if err := b.CheckpointAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	b.Close() // release the log for the next incarnation
-	d, tsD := bootServer(t, cfg, ckptDir2, []StreamSpec{spec})
+	d, tsD := newTestServer(t, cfg)
 	wD, _ := d.stream("crash")
 	if n := wD.m.walReplayed.Load(); n != 0 {
 		t.Fatalf("empty-tail boot replayed %d records", n)
 	}
-	ckptDir3 := t.TempDir()
-	if err := d.CheckpointAll(context.Background(), dirSaver(ckptDir3)); err != nil {
+	if err := d.CheckpointAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
-	_, tsE := bootServer(t, cfg, ckptDir3, []StreamSpec{spec})
+	_, tsE := newTestServer(t, cfg)
 	requireSameAnswer(t, "empty-tail boot chain",
 		topK(t, tsE.URL, "crash"), topK(t, tsC.URL, "crash"),
 		streamInfoOf(t, tsE.URL, "crash"), streamInfoOf(t, tsC.URL, "crash"))
@@ -294,8 +231,7 @@ func TestWALRecoveryFromGenesis(t *testing.T) {
 	tsA.Close()
 	a.Close() // crash stand-in: releases the flock like a dead process would
 
-	b, tsB := bootServer(t, cfg, "", []StreamSpec{spec})
-	_ = b
+	_, tsB := newTestServer(t, cfg)
 
 	refCfg := cfg
 	refCfg.WALDir = t.TempDir()
@@ -311,18 +247,21 @@ func TestWALRecoveryFromGenesis(t *testing.T) {
 		streamInfoOf(t, tsB.URL, "genesis"), streamInfoOf(t, tsC.URL, "genesis"))
 }
 
-// TestCheckpointFailedSaveNeverTruncates is the PR's race/ordering
-// regression: a checkpoint whose save fails must not advance the WAL
+// TestCheckpointFailedSaveNeverTruncates is the ordering regression: a
+// checkpoint whose snapshot cannot be synced must not advance the WAL
 // truncation point — recovery still needs the full log behind the last
-// *saved* checkpoint.
+// *synced* snapshot.
 func TestCheckpointFailedSaveNeverTruncates(t *testing.T) {
 	spec := testSpec("nofail")
+	inj := fault.NewInjector(nil, 1)
 	cfg := Config{
 		Streams:         []StreamSpec{spec},
 		MaxChunk:        100,
 		WALDir:          t.TempDir(),
 		WALFsync:        wal.FsyncNone,
 		WALSegmentBytes: 2048,
+		FS:              inj,
+		RepairBackoff:   time.Millisecond,
 	}
 	a, tsA := newTestServer(t, cfg)
 	w, _ := a.stream("nofail")
@@ -331,19 +270,23 @@ func TestCheckpointFailedSaveNeverTruncates(t *testing.T) {
 	}
 	waitProcessed(t, w, 1000)
 
+	// The snapshot's Sync fails (fsync=none: it is the only fsync).
 	before := w.wlog.Start()
-	saveErr := errors.New("disk on fire")
-	err := a.CheckpointAll(context.Background(), func(string, []byte) error { return saveErr })
-	if !errors.Is(err, saveErr) {
-		t.Fatalf("CheckpointAll error = %v, want the save failure", err)
+	inj.Add(fault.Rule{Op: fault.OpSync, Path: "seg-", Err: syscall.EIO, Count: 1})
+	err := a.CheckpointAll(context.Background())
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("CheckpointAll error = %v, want the sync failure", err)
 	}
 	if got := w.wlog.Start(); got != before {
-		t.Fatalf("failed save truncated the WAL: start %v → %v", before, got)
+		t.Fatalf("failed checkpoint truncated the WAL: start %v → %v", before, got)
 	}
 	// The full history is still there: every record remains replayable
 	// from genesis (read in-process — the live log holds the dir lock).
 	replayable := 0
 	if err := w.wlog.ReadFrom(wal.Pos{}, func(p []byte, _ wal.Pos) error {
+		if kind, _ := wal.PayloadKind(p); kind == wal.KindSnapshot {
+			return nil
+		}
 		rec, err := wal.DecodeRecord(p)
 		if err != nil {
 			return err
@@ -354,31 +297,39 @@ func TestCheckpointFailedSaveNeverTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if replayable != 1000 {
-		t.Fatalf("post-failed-save log replays %d records, want all 1000", replayable)
+		t.Fatalf("post-failed-checkpoint log replays %d records, want all 1000", replayable)
 	}
 
-	// A successful save does truncate — and recovery from that saved
-	// checkpoint plus the remaining tail still answers exactly.
-	goodDir := t.TempDir()
-	if err := a.CheckpointAll(context.Background(), dirSaver(goodDir)); err != nil {
+	// The failure degraded the stream; once the repair loop has rotated
+	// past it, the next checkpoint does truncate — and recovery from its
+	// snapshot plus the remaining tail still answers exactly.
+	deadline := time.Now().Add(10 * time.Second)
+	for w.degraded.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("stream never repaired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := a.CheckpointAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.wlog.Start(); got == before {
-		t.Fatalf("successful save did not truncate (start still %v)", got)
+		t.Fatalf("successful checkpoint did not truncate (start still %v)", got)
 	}
 	liveTopK := topK(t, tsA.URL, "nofail")
 	liveInfo := streamInfoOf(t, tsA.URL, "nofail")
 	a.Close()
-	_, tsB := bootServer(t, cfg, goodDir, []StreamSpec{spec})
+	cfg.FS = nil
+	_, tsB := newTestServer(t, cfg)
 	requireSameAnswer(t, "post-save recovery",
 		topK(t, tsB.URL, "nofail"), liveTopK,
 		streamInfoOf(t, tsB.URL, "nofail"), liveInfo)
 }
 
 // TestWALRestoreMarkerRecovery: an in-place admin restore is logged in
-// line with the chunks, so restore-then-ingest-then-crash recovers the
-// exact live state — including counters — with no checkpoint file saved
-// after the restore.
+// line with the chunks as a snapshot, so restore-then-ingest-then-crash
+// recovers the exact live state — including counters — with no
+// checkpoint taken after the restore.
 func TestWALRestoreMarkerRecovery(t *testing.T) {
 	spec := testSpec("marker")
 	cfg := Config{
@@ -415,14 +366,15 @@ func TestWALRestoreMarkerRecovery(t *testing.T) {
 	tsA.Close()
 	a.Close()
 
-	_, tsB := bootServer(t, cfg, "", []StreamSpec{spec})
+	_, tsB := newTestServer(t, cfg)
 	requireSameAnswer(t, "restore-marker recovery",
 		topK(t, tsB.URL, "marker"), liveTopK,
 		streamInfoOf(t, tsB.URL, "marker"), liveInfo)
 }
 
-// TestWALStreamToggle: wal=off keeps a stream checkpoint-only on a
-// WAL-enabled server; on is the default; junk is rejected.
+// TestWALStreamToggle: wal=off keeps a stream's chunks out of the log on
+// a WAL-enabled server (its log holds snapshots only); on is the
+// default; junk is rejected.
 func TestWALStreamToggle(t *testing.T) {
 	walDir := t.TempDir()
 	on := testSpec("logged")
@@ -431,14 +383,11 @@ func TestWALStreamToggle(t *testing.T) {
 	s, ts := newTestServer(t, Config{Streams: []StreamSpec{on, off}, WALDir: walDir})
 	wOn, _ := s.stream("logged")
 	wOff, _ := s.stream("unlogged")
-	if wOn.wlog == nil {
-		t.Fatal("wal-on stream has no log")
+	if wOn.wlog == nil || !wOn.logChunks {
+		t.Fatal("wal-on stream logs no chunks")
 	}
-	if wOff.wlog != nil {
-		t.Fatal("wal=off stream has a log")
-	}
-	if _, err := os.Stat(filepath.Join(walDir, "unlogged")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("wal=off stream created a log directory: %v", err)
+	if wOff.logChunks {
+		t.Fatal("wal=off stream logs chunks")
 	}
 	if info := streamInfoOf(t, ts.URL, "logged"); !info.WAL {
 		t.Fatal("logged stream info lacks wal flag")
@@ -456,6 +405,9 @@ func TestWALStreamToggle(t *testing.T) {
 	if wOn.m.walAppended.Load() != 50 || wOff.m.walAppended.Load() != 0 {
 		t.Fatalf("wal appended: logged %d (want 50), unlogged %d (want 0)",
 			wOn.m.walAppended.Load(), wOff.m.walAppended.Load())
+	}
+	if n := chunkFrames(t, wOff); n != 0 {
+		t.Fatalf("wal=off stream logged %d chunk frames", n)
 	}
 
 	// An in-place restore keeps the hosting stream's WAL mode: a donor
@@ -509,87 +461,6 @@ func TestWALRemoveStreamDeletesLog(t *testing.T) {
 	}
 	if resp := topK(t, ts.URL, "doomed"); resp.Processed != 0 || resp.T != 0 {
 		t.Fatalf("re-created stream inherited history: %+v", resp)
-	}
-}
-
-// TestWALForeignCheckpointResetsLog: restoring a checkpoint whose log
-// identity does not match the local log must not splice local history
-// under it — the local log resets and the checkpoint stands alone.
-func TestWALForeignCheckpointResetsLog(t *testing.T) {
-	spec := testSpec("foreign")
-	// Server 1 (its own WAL lineage) produces a checkpoint.
-	cfg1 := Config{Streams: []StreamSpec{spec}, WALDir: t.TempDir()}
-	s1, ts1 := newTestServer(t, cfg1)
-	w1, _ := s1.stream("foreign")
-	post(t, ts1.URL+"/v1/ingest?stream=foreign", ctNDJSON, ndjsonBody(t, walRows(300, 1)))
-	waitProcessed(t, w1, 300)
-	ckptDir := t.TempDir()
-	if err := s1.CheckpointAll(context.Background(), dirSaver(ckptDir)); err != nil {
-		t.Fatal(err)
-	}
-	want := topK(t, ts1.URL, "foreign")
-
-	// Server 2 has unrelated local history for the same stream name.
-	cfg2 := Config{Streams: []StreamSpec{spec}, WALDir: t.TempDir()}
-	s2, ts2 := newTestServer(t, cfg2)
-	w2, _ := s2.stream("foreign")
-	post(t, ts2.URL+"/v1/ingest?stream=foreign", ctNDJSON, ndjsonBody(t, walRows(900, 1000)))
-	waitProcessed(t, w2, 900)
-	ts2.Close()
-	s2.Close()
-
-	// Booting server 2's directories with server 1's checkpoint: the
-	// identities mismatch, the local log is reset, and the answer is
-	// the checkpoint's — not a splice of both histories.
-	b, tsB := bootServer(t, cfg2, ckptDir, []StreamSpec{spec})
-	wB, _ := b.stream("foreign")
-	if wB.m.walReplayed.Load() != 0 {
-		t.Fatalf("foreign restore replayed %d local records", wB.m.walReplayed.Load())
-	}
-	got := topK(t, tsB.URL, "foreign")
-	if got.T != want.T || got.Value != want.Value || !reflect.DeepEqual(got.Seeds, want.Seeds) {
-		t.Fatalf("foreign restore answer diverged:\n got %+v\nwant %+v", got, want)
-	}
-
-	// Regression: the reset boot binds the checkpoint into the fresh
-	// log as a genesis marker, so records acked *after* that boot and
-	// *before* any identity-matching checkpoint survive the next crash
-	// — a second boot against the same old checkpoint file must not
-	// reset again.
-	post(t, tsB.URL+"/v1/ingest?stream=foreign", ctNDJSON, ndjsonBody(t, walRows(400, 2000)))
-	waitProcessed(t, wB, 300+400)
-	liveTopK := topK(t, tsB.URL, "foreign")
-	liveInfo := streamInfoOf(t, tsB.URL, "foreign")
-	tsB.Close() // crash: no checkpoint written, the file stays the foreign one
-	b.Close()
-
-	b2, tsB2 := bootServer(t, cfg2, ckptDir, []StreamSpec{spec})
-	wB2, _ := b2.stream("foreign")
-	if n := wB2.m.walReplayed.Load(); n != 400 {
-		t.Fatalf("second boot replayed %d records, want the 400 acked after the reset boot", n)
-	}
-	requireSameAnswer(t, "post-reset-boot recovery",
-		topK(t, tsB2.URL, "foreign"), liveTopK,
-		streamInfoOf(t, tsB2.URL, "foreign"), liveInfo)
-
-	// And the converse guard: if the operator *replaces* the checkpoint
-	// file with a different one, their explicit choice outranks the
-	// marker-led log — the log rebinds to the new checkpoint instead of
-	// silently resurrecting the old state.
-	cfg3 := Config{Streams: []StreamSpec{spec}, WALDir: t.TempDir()}
-	s3, ts3 := newTestServer(t, cfg3)
-	w3, _ := s3.stream("foreign")
-	post(t, ts3.URL+"/v1/ingest?stream=foreign", ctNDJSON, ndjsonBody(t, walRows(200, 5000)))
-	waitProcessed(t, w3, 200)
-	if err := s3.CheckpointAll(context.Background(), dirSaver(ckptDir)); err != nil { // overwrites foreign.ckpt
-		t.Fatal(err)
-	}
-	swapped := topK(t, ts3.URL, "foreign")
-	b2.Close()
-	_, tsB3 := bootServer(t, cfg2, ckptDir, []StreamSpec{spec})
-	got3 := topK(t, tsB3.URL, "foreign")
-	if got3.T != swapped.T || got3.Value != swapped.Value || !reflect.DeepEqual(got3.Seeds, swapped.Seeds) {
-		t.Fatalf("swapped checkpoint was ignored for the stale marker-led log:\n got %+v\nwant %+v", got3, swapped)
 	}
 }
 
@@ -647,53 +518,313 @@ func TestEventsTypesFilter(t *testing.T) {
 	}
 }
 
-// TestRestoreWithSpecOverlayByEnvelopeName: the boot overlay is keyed
-// by the stream name inside the envelope — a checkpoint restored under
-// any filename still comes up with its flag-supplied token and WAL
-// toggle, and never with another stream's.
-func TestRestoreWithSpecOverlayByEnvelopeName(t *testing.T) {
-	spec := testSpec("tok")
-	spec.Token = "s3cret"
-	s1, _ := newTestServer(t, Config{Streams: []StreamSpec{spec}})
-	data, err := s1.Checkpoint(context.Background(), "tok")
-	if err != nil {
+// chunkFrames counts the chunk frames in a live stream's log.
+func chunkFrames(t *testing.T, w *worker) int {
+	t.Helper()
+	n := 0
+	if err := w.wlog.ReadFrom(w.wlog.Start(), func(p []byte, _ wal.Pos) error {
+		if kind, _ := wal.PayloadKind(p); kind == wal.KindChunk {
+			n++
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
+	return n
+}
 
-	s2, err := New(Config{})
-	if err != nil {
+// TestCheckpointUnderIngestRecoversAckedRecords: a checkpoint serializes
+// on the worker goroutine while handlers keep appending and
+// acknowledging chunks, so a chunk can land in the log ahead of the
+// snapshot frame without being in its state. Recovery must replay it —
+// the snapshot covers the applied watermark, not its own position. The
+// injector stalls one ingest append inside its write, after the
+// checkpoint's drain found the queue empty and before the snapshot
+// append, which makes that interleaving deterministic.
+func TestCheckpointUnderIngestRecoversAckedRecords(t *testing.T) {
+	spec := testSpec("race")
+	spec.TimeMode = TimeArrival
+	inj := fault.NewInjector(nil, 1)
+	cfg := Config{
+		Streams:  []StreamSpec{spec},
+		MaxChunk: 100,
+		WALDir:   t.TempDir(),
+		WALFsync: wal.FsyncAlways,
+		FS:       inj,
+	}
+	a, tsA := newTestServer(t, cfg)
+	w, _ := a.stream("race")
+	if code, b := post(t, tsA.URL+"/v1/ingest?stream=race", ctNDJSON, ndjsonBody(t, walRows(300, 1))); code != http.StatusOK {
+		t.Fatalf("post 1: %d: %s", code, b)
+	}
+	waitProcessed(t, w, 300)
+
+	inj.Add(fault.Rule{Op: fault.OpWrite, Path: "seg-", Count: 1, Delay: 300 * time.Millisecond})
+	acked := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(tsA.URL+"/v1/ingest?stream=race", ctNDJSON,
+			strings.NewReader(ndjsonBody(t, walRows(100, 301))))
+		if err != nil {
+			acked <- 0
+			return
+		}
+		resp.Body.Close()
+		acked <- resp.StatusCode
+	}()
+	for inj.Rules()[0].Fired == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := a.CheckpointAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s2.Close() })
-	other := testSpec("other")
-	other.Token = "wrong"
-	name, err := s2.RestoreWithSpec(data, map[string]*StreamSpec{
-		"other": &other,
-		"tok":   &spec,
+	if code := <-acked; code != http.StatusOK {
+		t.Fatalf("concurrent ingest: status %d", code)
+	}
+	waitProcessed(t, w, 400)
+	liveTopK := topK(t, tsA.URL, "race")
+	liveInfo := streamInfoOf(t, tsA.URL, "race")
+	tsA.Close()
+	a.Close()
+
+	cfg.FS = nil
+	b, tsB := newTestServer(t, cfg)
+	wB, _ := b.stream("race")
+	if n := wB.m.walReplayed.Load(); n != 100 {
+		t.Fatalf("recovery replayed %d records, want the 100 acked behind the snapshot's state", n)
+	}
+	requireSameAnswer(t, "checkpoint under ingest",
+		topK(t, tsB.URL, "race"), liveTopK,
+		streamInfoOf(t, tsB.URL, "race"), liveInfo)
+}
+
+// TestCheckpointsUnderConcurrentIngestRecover: periodic checkpoints
+// racing concurrent ingesters — snapshot appends, syncs and truncations
+// interleaved with chunk appends and segment rotations — still leave a
+// log that recovers the exact live state after a crash.
+func TestCheckpointsUnderConcurrentIngestRecover(t *testing.T) {
+	spec := testSpec("busy")
+	spec.TimeMode = TimeArrival
+	cfg := Config{
+		Streams:         []StreamSpec{spec},
+		WALDir:          t.TempDir(),
+		WALSegmentBytes: 1024,
+	}
+	a, tsA := newTestServer(t, cfg)
+	w, _ := a.stream("busy")
+	ctx, cancel := context.WithCancel(context.Background())
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		a.PeriodicCheckpoints(ctx, time.Millisecond, func(err error) { t.Error(err) })
+	}()
+	const ingesters, posts = 4, 40
+	errs := make(chan error, ingesters)
+	for g := 0; g < ingesters; g++ {
+		go func(g int) {
+			for i := 0; i < posts; i++ {
+				body := ndjsonBody(t, walRows(20, int64(g*1000+i*10+1)))
+				resp, err := http.Post(tsA.URL+"/v1/ingest?stream=busy", ctNDJSON, strings.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("ingest: status %d", resp.StatusCode)
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < ingesters; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	<-loopDone
+	waitConverged(t, w, ingesters*posts*20)
+	if w.wlog.Start().Seg == 0 {
+		t.Fatal("no checkpoint truncated the log")
+	}
+	liveTopK := topK(t, tsA.URL, "busy")
+	liveInfo := streamInfoOf(t, tsA.URL, "busy")
+	tsA.Close()
+	a.Close()
+
+	_, tsB := newTestServer(t, cfg)
+	requireSameAnswer(t, "checkpoints under concurrent ingest",
+		topK(t, tsB.URL, "busy"), liveTopK,
+		streamInfoOf(t, tsB.URL, "busy"), liveInfo)
+}
+
+// TestIdleCheckpointsKeepLogSize: a stream with nothing new since its
+// newest snapshot is skipped, so repeated periodic checkpoints of an
+// idle stream neither grow the log nor log another snapshot.
+func TestIdleCheckpointsKeepLogSize(t *testing.T) {
+	flight := obs.NewFlight(64, nil)
+	s, ts := newTestServer(t, Config{
+		Streams: []StreamSpec{testSpec("idle")},
+		WALDir:  t.TempDir(),
+		Flight:  flight,
 	})
-	if err != nil {
-		t.Fatal(err)
+	w, _ := s.stream("idle")
+	if code, b := post(t, ts.URL+"/v1/ingest?stream=idle", ctNDJSON, ndjsonBody(t, walRows(100, 1))); code != http.StatusOK {
+		t.Fatalf("post: %d: %s", code, b)
 	}
-	if name != "tok" {
-		t.Fatalf("restored %q, want tok", name)
+	waitProcessed(t, w, 100)
+	ingested := streamInfoOf(t, ts.URL, "idle").WALBytes
+
+	ctx, cancel := context.WithCancel(context.Background())
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		s.PeriodicCheckpoints(ctx, 2*time.Millisecond, func(err error) { t.Error(err) })
+	}()
+	defer func() {
+		cancel()
+		<-loopDone
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for streamInfoOf(t, ts.URL, "idle").WALBytes == ingested {
+		if time.Now().After(deadline) {
+			t.Fatal("no periodic snapshot was logged")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	w, _ := s2.stream("tok")
-	if w.token != "s3cret" {
-		t.Fatalf("restored stream token %q, want the flag-supplied secret", w.token)
+	snapped := streamInfoOf(t, ts.URL, "idle").WALBytes
+	time.Sleep(50 * time.Millisecond) // ~25 more ticks
+	for i := 0; i < 3; i++ {
+		if err := s.CheckpointAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := streamInfoOf(t, ts.URL, "idle").WALBytes; got != snapped {
+		t.Fatalf("idle checkpoints changed wal_bytes: %d → %d", snapped, got)
+	}
+	saved := 0
+	for _, ev := range flight.Events() {
+		if ev.Kind == obs.EventCheckpointSaved {
+			saved++
+		}
+	}
+	if saved != 1 {
+		t.Fatalf("%d checkpoint snapshots logged for an idle stream, want 1", saved)
 	}
 
-	// Without a matching overlay the stream comes up open (envelopes
-	// are token-redacted) — but never with a foreign stream's token.
-	s3, err := New(Config{})
+	// An event published without processing moves only the notify
+	// sequence; the next checkpoint must still record it, or a restart
+	// would reuse sequence numbers subscribers have already seen.
+	s.hub.PublishStatus("idle", StateHealthy, "")
+	if err := s.CheckpointAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	env, _, err := w.newestSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s3.Close() })
-	if _, err := s3.RestoreWithSpec(data, map[string]*StreamSpec{"other": &other}); err != nil {
+	if seq := w.snapshot().Seq; env.NotifySeq <= seq {
+		t.Fatalf("snapshot notify seq %d, want past the published snapshot's %d", env.NotifySeq, seq)
+	}
+}
+
+// TestBootHostsLoggedStreams: New re-hosts every stream whose log holds
+// a snapshot, including streams no configured spec names (created over
+// HTTP), under the snapshot's spec. A configured spec keeps its token;
+// a log without a snapshot is left alone until a spec names it.
+func TestBootHostsLoggedStreams(t *testing.T) {
+	walDir := t.TempDir()
+	flagged := testSpec("flagged")
+	flagged.Token = "s3cret"
+	created := testSpec("created")
+	created.WAL = WALOff
+	unsnapped := testSpec("unsnapped")
+	s, ts := newTestServer(t, Config{WALDir: walDir, Streams: []StreamSpec{flagged}})
+	if err := s.AddStream(created); err != nil {
 		t.Fatal(err)
 	}
-	w3, _ := s3.stream("tok")
-	if w3.token != "" {
-		t.Fatalf("unmatched overlay leaked token %q", w3.token)
+	body := ndjsonBody(t, walRows(200, 1))
+	for _, name := range []string{"flagged", "created"} {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/ingest?stream="+name, strings.NewReader(body))
+		req.Header.Set("Content-Type", ctNDJSON)
+		req.Header.Set("Authorization", "Bearer s3cret")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest %s: %d", name, resp.StatusCode)
+		}
+		w, _ := s.stream(name)
+		waitProcessed(t, w, 200)
+	}
+	if err := s.CheckpointAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddStream(unsnapped); err != nil {
+		t.Fatal(err)
+	}
+	if code, b := post(t, ts.URL+"/v1/ingest?stream=unsnapped", ctNDJSON, body); code != http.StatusOK {
+		t.Fatalf("ingest unsnapped: %d: %s", code, b)
+	}
+	wU, _ := s.stream("unsnapped")
+	waitProcessed(t, wU, 200)
+	want := map[string]topKResponse{}
+	for _, name := range []string{"flagged", "created", "unsnapped"} {
+		want[name] = topK(t, ts.URL, name)
+	}
+	ts.Close()
+	s.Close()
+
+	s2, ts2 := newTestServer(t, Config{WALDir: walDir, Streams: []StreamSpec{flagged}})
+	if got := s2.StreamNames(); !reflect.DeepEqual(got, []string{"created", "flagged"}) {
+		t.Fatalf("booted streams %v, want [created flagged]", got)
+	}
+	for _, name := range []string{"flagged", "created"} {
+		if got := topK(t, ts2.URL, name); !reflect.DeepEqual(got.Seeds, want[name].Seeds) || got.T != want[name].T {
+			t.Fatalf("%s: recovered %+v, want %+v", name, got, want[name])
+		}
+	}
+	if w, _ := s2.stream("flagged"); w.token != "s3cret" {
+		t.Fatalf("flagged stream token %q, want the spec's", w.token)
+	}
+	if info := streamInfoOf(t, ts2.URL, "created"); info.WAL {
+		t.Fatal("discovered wal=off stream came back logging chunks")
+	}
+	// A spec naming the snapshot-less log replays it from genesis.
+	if err := s2.AddStream(unsnapped); err != nil {
+		t.Fatal(err)
+	}
+	if got := topK(t, ts2.URL, "unsnapped"); !reflect.DeepEqual(got.Seeds, want["unsnapped"].Seeds) || got.T != want["unsnapped"].T {
+		t.Fatalf("unsnapped: recovered %+v, want %+v", got, want["unsnapped"])
+	}
+}
+
+// TestTruncatedLogWithoutSnapshotRefused: a log whose early segments are
+// gone but which holds no snapshot covering them cannot be replayed
+// exactly, so hosting the stream fails loudly instead of serving a
+// partial state.
+func TestTruncatedLogWithoutSnapshotRefused(t *testing.T) {
+	walDir := t.TempDir()
+	l, err := wal.Open(filepath.Join(walDir, "gap"), wal.Options{Fsync: wal.FsyncNone, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last wal.Pos
+	for i := 0; i < 10; i++ {
+		rec := wal.Record{Rows: walRows(5, int64(i*10+1))}
+		if last, _, err = l.Append(rec.AppendEncode(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.TruncateBefore(last); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := New(Config{WALDir: walDir, Streams: []StreamSpec{testSpec("gap")}}); err == nil ||
+		!strings.Contains(err.Error(), "holds no snapshot") {
+		t.Fatalf("truncated snapshot-less log: err = %v, want a refusal", err)
 	}
 }

@@ -126,15 +126,17 @@ type worker struct {
 	degradedAt atomic.Int64
 
 	// wlog is the stream's write-ahead log (nil when the server has no
-	// WAL directory or the stream opted out). It is assigned once in
-	// newWorker, before any goroutine can observe the worker. walMu
-	// serializes the append+enqueue pair so WAL order and queue order
-	// are identical — replay must feed chunks in exactly the order the
-	// live worker consumed them (arrival-mode step numbering and
-	// event-mode stale-drops both depend on it). walDictLen (under
+	// WAL directory): its snapshot frames always, and its ingest chunks
+	// too when logChunks is set (the stream's wal= is not off). Both are
+	// assigned once in newWorker, before any goroutine can observe the
+	// worker. walMu serializes the append+enqueue pair so WAL order and
+	// queue order are identical — replay must feed chunks in exactly the
+	// order the live worker consumed them (arrival-mode step numbering
+	// and event-mode stale-drops both depend on it). walDictLen (under
 	// walMu) is the label-dictionary prefix already recorded in the log;
 	// each record carries the delta since.
 	wlog       *wal.Log
+	logChunks  bool
 	walMu      sync.Mutex
 	walDictLen int
 	walScratch []byte
@@ -177,6 +179,11 @@ type worker struct {
 	sinceSnap  int     // chunks since the last snapshot publish
 	walApplied wal.Pos // log position covered by the tracker state
 	replaying  bool    // WAL replay in progress: suppress per-chunk publishes
+	// snapped marks the newest snapshot in the log (nil before the
+	// first). A checkpoint that finds the stream's mark unchanged skips
+	// its snapshot: the stream is idle, and a snapshot per tick would
+	// grow the log without ever moving the truncation point.
+	snapped *snapMark
 	// aboveWatermark/watermarkLogNs drive the memory-watermark slog:
 	// warn on the upward crossing, re-warn periodically while above,
 	// note the recovery on the way back down.
@@ -231,27 +238,81 @@ func buildState(spec StreamSpec, trackerBlob []byte) (*workerState, error) {
 	}, nil
 }
 
-// newWorker builds a stream worker from its spec. When ckpt is non-nil the
-// worker starts from the checkpointed tracker state instead of empty.
-func newWorker(spec StreamSpec, cfg Config, ckpt *checkpointEnvelope, hub *notify.Hub) (*worker, error) {
-	var blob []byte
-	if ckpt != nil {
-		blob = ckpt.Tracker
-	}
-	st, err := buildState(spec, blob)
-	if err != nil {
-		return nil, err
-	}
+// errNoSnapshot refuses to host a discovered stream directory whose log
+// holds no snapshot: without one there is no spec to build it from.
+var errNoSnapshot = errors.New("server: stream log holds no snapshot")
+
+// newWorker builds a stream worker and recovers its state. With a
+// write-ahead log the state is rebuilt from the log — its newest
+// snapshot, then the chunks that snapshot does not cover — before the
+// worker goroutine exists and before the server routes a single request
+// at the stream, so the published state is exactly the pre-crash state.
+// A log without a snapshot replays from genesis under spec.
+//
+// from, when non-nil, is a restore that creates the stream: the state
+// comes from it instead, and it is logged as the stream's newest
+// snapshot. adopt hosts the stream only if its log holds a snapshot, and
+// takes that snapshot's spec whole (boot discovery of streams that no
+// configured spec names); otherwise the hosting spec keeps its token
+// and wal= setting, which envelopes do not carry for it.
+func newWorker(spec StreamSpec, cfg Config, hub *notify.Hub, from *checkpointEnvelope, adopt bool) (_ *worker, err error) {
 	w := &worker{
 		name:   spec.Name,
 		cfg:    cfg,
 		hub:    hub,
-		token:  spec.Token,
 		labels: newLabelTable(),
 		queue:  make(chan chunk, cfg.QueueDepth),
 		admin:  make(chan func()),
 		done:   make(chan struct{}),
 	}
+	if cfg.WALDir != "" {
+		w.wlog, err = wal.Open(filepath.Join(cfg.WALDir, spec.Name), wal.Options{
+			Fsync:        cfg.WALFsync,
+			FsyncEvery:   cfg.WALFsyncInterval,
+			SegmentBytes: cfg.WALSegmentBytes,
+			CommitShards: cfg.WALCommitShards,
+			FS:           cfg.fs(),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("server: stream %q: %w", spec.Name, err)
+		}
+		defer func() {
+			if err != nil {
+				w.wlog.Close()
+			}
+		}()
+	}
+	env, covers := from, wal.Pos{}
+	if env == nil && w.wlog != nil {
+		if env, covers, err = w.newestSnapshot(); err != nil {
+			return nil, err
+		}
+	}
+	var blob []byte
+	switch {
+	case env == nil && adopt:
+		return nil, errNoSnapshot
+	case env == nil && w.wlog != nil && !w.wlog.Start().IsZero():
+		// The log's early history was truncated away, yet no snapshot
+		// covers it: a replay from here would silently build a partial
+		// state. Refuse loudly — the operator removes the stream's wal
+		// directory to start it empty.
+		return nil, fmt.Errorf("server: stream %q: wal begins at %v but holds no snapshot covering the truncated history (remove the stream's wal directory to start it empty)", w.name, w.wlog.Start())
+	case env != nil:
+		host := spec
+		spec = env.Spec
+		spec.Name = w.name
+		if !adopt {
+			spec.Token, spec.WAL = host.Token, host.WAL
+		}
+		blob = env.Tracker
+	}
+	st, err := buildState(spec, blob)
+	if err != nil {
+		return nil, err
+	}
+	w.token = spec.Token
+	w.logChunks = w.wlog != nil && cfg.walFor(spec)
 	if !cfg.DisableTracing {
 		w.rec = obs.NewRecorder(spec.Name, obs.Config{
 			RingSize:      cfg.TraceRing,
@@ -269,31 +330,39 @@ func newWorker(spec StreamSpec, cfg Config, ckpt *checkpointEnvelope, hub *notif
 			Clock:    cfg.clock(),
 		})
 	}
-	if ckpt != nil {
-		w.labels.reset(ckpt.Names)
+	if env != nil {
+		w.labels.reset(env.Names)
 		w.lastT, _ = tdnstream.TrackerNow(st.tracker)
 		// Counter continuity: resume the stream-logical counters where
-		// the checkpoint froze them (watermark-consistent — WAL replay
-		// re-counts everything past the watermark on top), so a
-		// restarted daemon reports the same processed/steps totals an
-		// uninterrupted run would.
-		w.m.seed(ckpt.Counters)
+		// the snapshot froze them (replay re-counts every chunk past its
+		// covered position on top), so a restarted daemon reports the
+		// same processed/steps totals an uninterrupted run would.
+		w.m.seed(env.Counters)
+		w.snapped = env.mark()
 		// Resume the event sequence past everything a previous
 		// incarnation already handed to subscribers, and resync them
 		// with a keyframe: the restored state replaces, not continues,
 		// whatever they were following.
 		if w.hub != nil {
-			w.hub.Resume(w.name, ckpt.NotifySeq)
+			w.hub.Resume(w.name, env.NotifySeq)
 		}
 	}
 	w.state.Store(st)
-	// Crash recovery happens here, before the worker goroutine exists
-	// and before the server routes a single request at the stream: open
-	// the write-ahead log and replay everything past the checkpoint's
-	// watermark (or the whole log when there is no checkpoint), so the
-	// published state is exactly the pre-crash state.
-	if err := w.openWAL(ckpt); err != nil {
-		return nil, err
+	switch {
+	case w.wlog == nil:
+	case from != nil:
+		end, tok, err := w.appendRestore(from)
+		if err != nil {
+			return nil, err
+		}
+		w.setWALApplied(end)
+		if err := w.wlog.Commit(tok); err != nil {
+			return nil, fmt.Errorf("server: stream %q: restore snapshot: %w", w.name, err)
+		}
+	default:
+		if err := w.replayWAL(covers); err != nil {
+			return nil, err
+		}
 	}
 	w.lastBatchNs.Store(time.Now().UnixNano())
 	w.publish()
@@ -301,98 +370,80 @@ func newWorker(spec StreamSpec, cfg Config, ckpt *checkpointEnvelope, hub *notif
 	return w, nil
 }
 
-// openWAL attaches the stream's write-ahead log and replays the tail
-// the checkpoint does not cover. The checkpoint's watermark is honored
-// only when its log identity matches the local log — a checkpoint
-// restored from another server (or over a wiped directory) proves
-// nothing about local files, so the log is reset and the checkpoint
-// stands alone. Runs in newWorker, with exclusive access to the state.
-func (w *worker) openWAL(ckpt *checkpointEnvelope) error {
-	st := w.state.Load()
-	if !w.cfg.walFor(st.spec) {
+// setWALApplied advances the applied watermark together with its atomic
+// mirrors. Every assignment must go through here so off-goroutine
+// readers see the same position snapshots will record.
+func (w *worker) setWALApplied(pos wal.Pos) {
+	w.walApplied = pos
+	w.walAppliedSeg.Store(pos.Seg)
+	w.walAppliedOff.Store(pos.Off)
+}
+
+// newestSnapshot scans the stream's log once for its newest snapshot
+// frame and returns the envelope it carries and the position it covers
+// (a nil envelope when the log holds none).
+func (w *worker) newestSnapshot() (*checkpointEnvelope, wal.Pos, error) {
+	var last []byte
+	err := w.wlog.ReadFrom(w.wlog.Start(), func(p []byte, _ wal.Pos) error {
+		if kind, _ := wal.PayloadKind(p); kind == wal.KindSnapshot {
+			last = append(last[:0], p...)
+		}
 		return nil
-	}
-	log, err := wal.Open(filepath.Join(w.cfg.WALDir, w.name), wal.Options{
-		Fsync:        w.cfg.WALFsync,
-		FsyncEvery:   w.cfg.WALFsyncInterval,
-		SegmentBytes: w.cfg.WALSegmentBytes,
-		CommitShards: w.cfg.WALCommitShards,
-		FS:           w.cfg.fs(),
 	})
-	if err != nil {
-		return fmt.Errorf("server: stream %q: %w", w.name, err)
+	if err != nil || last == nil {
+		return nil, wal.Pos{}, err
 	}
-	w.wlog = log
-	start := log.Start()
-	switch {
-	case ckpt == nil && !start.IsZero():
-		// The log's early history was truncated away by checkpoints,
-		// but the checkpoint itself is gone: a replay from here would
-		// silently build a partial state. Refuse loudly — the operator
-		// either restores the checkpoint file or removes the WAL
-		// directory to start the stream empty.
-		log.Close()
-		w.wlog = nil
-		return fmt.Errorf("server: stream %q: wal begins at %v but no checkpoint covers the truncated history (restore the checkpoint or remove the stream's wal directory)", w.name, start)
-	case ckpt != nil && ckpt.WALLogID == log.ID():
-		start = wal.Pos{Seg: ckpt.WALSeg, Off: ckpt.WALOff}
-	case ckpt != nil:
-		// Foreign or pre-v4 checkpoint: its watermark does not describe
-		// this log. But if the log itself *begins* with a restore
-		// marker, a previous boot already went through this very branch
-		// and bound its checkpoint into the log as a genesis marker —
-		// the log is self-sufficient (marker state + acked chunks), and
-		// replaying it from the start recovers everything acknowledged
-		// since, including the window before any identity-matching
-		// checkpoint was saved. Resetting again here would delete those
-		// acked records: the exact loss the WAL exists to prevent.
-		// The marker must actually carry *this* checkpoint, though — if
-		// the operator swapped in a different .ckpt since the marker was
-		// bound, their explicit choice wins and the log rebinds below.
-		if start.IsZero() {
-			if kind, ok, err := log.FirstKind(); err != nil {
-				log.Close()
-				w.wlog = nil
-				return fmt.Errorf("server: stream %q: %w", w.name, err)
-			} else if ok && kind == wal.KindRestore {
-				match, err := genesisMarkerMatches(log, ckpt)
-				if err != nil {
-					log.Close()
-					w.wlog = nil
-					return fmt.Errorf("server: stream %q: %w", w.name, err)
-				}
-				if match {
-					break // marker-led log: replay from genesis below
-				}
-			}
-		}
-		// An unrelated lineage: reset the log and bind the checkpoint
-		// in as its genesis restore marker, so the next boot — even
-		// against this same checkpoint file — takes the marker path
-		// above instead of resetting acked history away.
-		if err := log.Reset(); err != nil {
-			log.Close()
-			w.wlog = nil
-			return fmt.Errorf("server: stream %q: %w", w.name, err)
-		}
-		if err := w.appendBootMarker(ckpt); err != nil {
-			log.Close()
-			w.wlog = nil
+	covers, body, err := wal.DecodeSnapshot(last)
+	if err != nil {
+		return nil, wal.Pos{}, fmt.Errorf("server: stream %q: %w", w.name, err)
+	}
+	env, err := decodeCheckpoint(body)
+	if err != nil {
+		return nil, wal.Pos{}, fmt.Errorf("server: stream %q: snapshot: %w", w.name, err)
+	}
+	return env, covers, nil
+}
+
+// replayWAL feeds every chunk from start on through the normal chunk
+// path: apply the record's label-dictionary delta, then process its
+// rows exactly as the live worker did — same chunk boundaries, same
+// ordering — so the rebuilt tracker state is identical to the state
+// that acknowledged those records. Replayed records count as ingested
+// (they were, by a previous incarnation), keeping the
+// processed+stale_dropped+failed+superseded == ingested identity exact
+// across a crash.
+//
+// Snapshot frames are skipped: the state already comes from the newest
+// one. Checkpoints and restores both append from the worker goroutine
+// and a restore moves the applied watermark past its own frame, so no
+// restore other than the newest snapshot itself lies past start; older
+// checkpoint frames there only describe states the replay passes
+// through anyway.
+func (w *worker) replayWAL(start wal.Pos) error {
+	// The state covers the log through start even when the tail turns
+	// out to be empty; the next snapshot must not cover less.
+	w.setWALApplied(start)
+	w.replaying = true
+	defer func() { w.replaying = false }()
+	err := w.wlog.ReadFrom(start, func(payload []byte, end wal.Pos) error {
+		kind, err := wal.PayloadKind(payload)
+		if err != nil || kind == wal.KindSnapshot {
 			return err
 		}
-		w.walDictLen = w.labels.len()
+		rec, err := wal.DecodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		if err := w.labels.apply(rec.DictBase, rec.Labels); err != nil {
+			return err
+		}
+		w.m.ingested.Add(uint64(len(rec.Rows)))
+		w.m.walReplayed.Add(uint64(len(rec.Rows)))
+		w.process(chunk{rows: rec.Rows, walPos: end})
 		return nil
-	}
-	// The state already covers the log through start — even when the
-	// tail turns out to be empty. Without this, an empty-tail boot
-	// would checkpoint a zero watermark and the *next* boot would
-	// re-apply the whole log on top of a state that already contains
-	// it.
-	w.setWALApplied(start)
-	if err := w.replayWAL(start); err != nil {
-		log.Close()
-		w.wlog = nil
-		return err
+	})
+	if err != nil {
+		return fmt.Errorf("server: stream %q: wal replay: %w", w.name, err)
 	}
 	w.walDictLen = w.labels.len()
 	w.cfg.Flight.Record(obs.EventReplayDone, w.name, "wal tail replayed", "",
@@ -402,156 +453,28 @@ func (w *worker) openWAL(ckpt *checkpointEnvelope) error {
 	return nil
 }
 
-// setWALApplied advances the applied watermark together with its atomic
-// mirrors. Every assignment must go through here so off-goroutine
-// readers see the same position checkpoints will record.
-func (w *worker) setWALApplied(pos wal.Pos) {
-	w.walApplied = pos
-	w.walAppliedSeg.Store(pos.Seg)
-	w.walAppliedOff.Store(pos.Off)
-}
-
-// errMarkerPeek ends a genesisMarkerMatches scan after one record.
-var errMarkerPeek = errors.New("server: marker peek stop")
-
-// genesisMarkerMatches reports whether the log's first record is a
-// restore marker carrying the same checkpoint as ckpt (compared by the
-// embedded tracker snapshot bytes, which travel verbatim from the
-// original envelope into the marker). A mismatch means the operator
-// replaced the checkpoint file after the marker was bound — their
-// explicit choice outranks the log's memory of the old one.
-func genesisMarkerMatches(log *wal.Log, ckpt *checkpointEnvelope) (bool, error) {
-	match := false
-	err := log.ReadFrom(log.Start(), func(p []byte, _ wal.Pos) error {
-		if body, err := wal.DecodeRestore(p); err == nil {
-			if env, err := decodeCheckpoint(body); err == nil {
-				match = bytes.Equal(env.Tracker, ckpt.Tracker)
-			}
-		}
-		return errMarkerPeek
-	})
-	if err != nil && !errors.Is(err, errMarkerPeek) {
-		return false, err
-	}
-	return match, nil
-}
-
-// appendRestoreMarker logs env as a KindRestore record — the single
-// marker-building recipe shared by boot binding and live restores. The
-// written copy always has the bearer token redacted (boot overlays may
-// have re-attached it to the spec; secrets never reach disk) and the
-// watermark fields zeroed (they describe the log the envelope came
-// from, not this one). On success walDictLen is rebased to the marker's
-// dictionary, all under walMu so concurrent chunk appends order cleanly
-// around the marker.
-func (w *worker) appendRestoreMarker(env *checkpointEnvelope) (wal.Pos, wal.Token, error) {
+// appendRestore logs a restore: env, token-redacted, as a snapshot frame
+// covering everything before it — the restored state replaces that
+// history — and rebases the chunk dictionary delta onto env's labels,
+// all under walMu so chunk appends order cleanly around the frame. It
+// returns the position after the frame, which the restored state
+// covers. Callers own the stream's ingest: restore holds closeMu for
+// writing, newWorker runs before the worker is visible.
+func (w *worker) appendRestore(env *checkpointEnvelope) (wal.Pos, wal.Token, error) {
 	m := *env
 	m.Spec.Token = ""
-	m.WALLogID, m.WALSeg, m.WALOff = "", 0, 0
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-		return wal.Pos{}, 0, fmt.Errorf("server: stream %q: encode restore marker: %w", w.name, err)
+	data, err := encodeCheckpoint(&m)
+	if err != nil {
+		return wal.Pos{}, 0, err
 	}
 	w.walMu.Lock()
 	defer w.walMu.Unlock()
-	w.walScratch = wal.AppendEncodeRestore(w.walScratch[:0], buf.Bytes())
-	pos, tok, err := w.wlog.Append(w.walScratch)
+	end, tok, err := w.wlog.Append(wal.AppendEncodeSnapshot(nil, w.wlog.End(), data))
 	if err != nil {
-		return wal.Pos{}, 0, fmt.Errorf("server: stream %q: restore marker: %w", w.name, err)
+		return wal.Pos{}, 0, fmt.Errorf("server: stream %q: restore snapshot: %w", w.name, err)
 	}
 	w.walDictLen = len(env.Names)
-	return pos, tok, nil
-}
-
-// appendBootMarker binds a checkpoint into a freshly reset log as its
-// genesis restore marker, making the log self-sufficient: a later boot
-// that cannot match the checkpoint's identity replays marker + chunks
-// from the start instead of resetting acked history away. The marker is
-// committed per the fsync policy before the worker serves a request.
-func (w *worker) appendBootMarker(ckpt *checkpointEnvelope) error {
-	pos, tok, err := w.appendRestoreMarker(ckpt)
-	if err != nil {
-		return err
-	}
-	w.setWALApplied(pos)
-	if err := w.wlog.Commit(tok); err != nil {
-		return fmt.Errorf("server: stream %q: boot marker: %w", w.name, err)
-	}
-	return nil
-}
-
-// replayWAL feeds every log record past start through the normal chunk
-// path: apply the record's label-dictionary delta, then process its
-// rows exactly as the live worker did — same chunk boundaries, same
-// ordering — so the rebuilt tracker state is identical to the state
-// that acknowledged those records. Replayed records count as ingested
-// (they were, by a previous incarnation), keeping the
-// processed+stale_dropped+failed+superseded == ingested identity exact
-// across a crash.
-func (w *worker) replayWAL(start wal.Pos) error {
-	w.replaying = true
-	defer func() { w.replaying = false }()
-	err := w.wlog.ReadFrom(start, func(payload []byte, end wal.Pos) error {
-		kind, err := wal.PayloadKind(payload)
-		if err != nil {
-			return err
-		}
-		switch kind {
-		case wal.KindRestore:
-			body, err := wal.DecodeRestore(payload)
-			if err != nil {
-				return err
-			}
-			env, err := decodeCheckpoint(body)
-			if err != nil {
-				return err
-			}
-			return w.applyRestoreMarker(env, end)
-		default:
-			rec, err := wal.DecodeRecord(payload)
-			if err != nil {
-				return err
-			}
-			if err := w.labels.apply(rec.DictBase, rec.Labels); err != nil {
-				return err
-			}
-			w.m.ingested.Add(uint64(len(rec.Rows)))
-			w.m.walReplayed.Add(uint64(len(rec.Rows)))
-			w.process(chunk{rows: rec.Rows, walPos: end})
-			return nil
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("server: stream %q: wal replay: %w", w.name, err)
-	}
-	return nil
-}
-
-// applyRestoreMarker replays an in-place restore found in the log: the
-// embedded state swaps in mid-replay exactly where the live stream
-// swapped it, and the marker's counters (the live stream's
-// watermark-consistent totals at restore time, including the
-// superseded queue it discarded) overwrite whatever the pre-marker
-// replay accumulated — the pre-restore chunks' effects were replayed
-// only to be discarded here, just as the live stream discarded them.
-func (w *worker) applyRestoreMarker(env *checkpointEnvelope, end wal.Pos) error {
-	env.Spec.Name = w.name
-	st, err := buildState(env.Spec, env.Tracker)
-	if err != nil {
-		return err
-	}
-	w.labels.reset(env.Names)
-	w.lastT, _ = tdnstream.TrackerNow(st.tracker)
-	w.m.seed(env.Counters)
-	w.state.Store(st)
-	w.setWALApplied(end)
-	if w.hub != nil {
-		w.hub.Resume(w.name, env.NotifySeq)
-	}
-	w.cfg.Flight.Record(obs.EventRestoreMarker, w.name, "restore marker bound during replay", "",
-		"marker_seg", fmt.Sprintf("%d", end.Seg),
-		"marker_off", fmt.Sprintf("%d", end.Off))
-	return nil
+	return end, tok, nil
 }
 
 // run drains the ingest queue until the queue is closed and empty, then
@@ -643,7 +566,7 @@ func (w *worker) enqueueLocked(c chunk) (wal.Token, error) {
 // capacity is checked first: a backpressured chunk is refused before it
 // can cost a log write, and once the append lands the channel send
 // cannot block (every sender holds walMu, receivers only drain).
-// Callers hold closeMu, which excludes the restore path's marker append
+// Callers hold closeMu, which excludes the restore path's snapshot append
 // + state swap and the stop path's queue close.
 func (w *worker) sendLocked(c chunk) (wal.Token, error) {
 	w.walMu.Lock()
@@ -653,7 +576,7 @@ func (w *worker) sendLocked(c chunk) (wal.Token, error) {
 		return 0, errQueueFull
 	}
 	var tok wal.Token
-	if w.wlog != nil {
+	if w.logChunks {
 		labels, total := w.labels.delta(w.walDictLen)
 		rec := wal.Record{DictBase: w.walDictLen, Labels: labels, Rows: c.rows}
 		w.walScratch = rec.AppendEncode(w.walScratch[:0])
@@ -1116,59 +1039,37 @@ func (w *worker) lastError() string {
 
 // checkpointEnvelope is the server-level checkpoint: the library tracker
 // snapshot plus the serving state it does not know about — the stream
-// spec and the label dictionary (NodeIDs are interning-order-dependent).
-// The stream clock is not stored: the restored tracker reports it
-// through its Now() hook (tdnstream.TrackerNow).
+// spec (written with Token redacted: checkpoint bodies travel over the
+// admin API and land in the log, and the bearer secret has no business
+// in either place), the label dictionary (NodeIDs are
+// interning-order-dependent), the notify sequence counter (so a restored
+// stream stamps events past everything subscribers already saw), and the
+// stream-logical counters. The stream clock is not stored: the restored
+// tracker reports it through its Now() hook (tdnstream.TrackerNow). For
+// sharded specs the Tracker blob is a shard-engine envelope holding one
+// gob snapshot per partition.
 //
-// Version 2 added sharded streams: Spec may carry Tracker.Shards ≥ 2, in
-// which case the Tracker blob is a shard-engine envelope holding one gob
-// snapshot per partition, and restore swaps every partition in
-// atomically with the dictionary and epoch.
-//
-// Version 3 added NotifySeq — the stream's notify-subsystem sequence
-// counter at checkpoint time — so a restored daemon resumes stamping
-// events after everything the previous incarnation handed to
-// subscribers instead of replaying from seq 0 (which would make
-// Last-Event-ID resumes silently skip the post-restore history).
-// The embedded Spec is written with Token redacted: checkpoint bodies
-// travel over the admin API and land on disk, and the bearer secret has
-// no business in either place. Older envelopes decode with the new
-// fields zero and restore unchanged; decoders reject versions from the
-// future rather than misreading them.
-//
-// Version 4 (this release) adds the write-ahead-log watermark: the log
-// identity (WALLogID) plus the position (WALSeg, WALOff) the serialized
-// tracker state covers. A daemon restarting from this envelope replays
-// only the log tail past the watermark — and only when the identity
-// still matches the local log, so a checkpoint moved to another machine
-// can never splice into an unrelated log's history. Checkpoint success
-// is also what licenses truncation: segments wholly below the watermark
-// of a durably *saved* checkpoint are deleted (Server.CheckpointAll);
-// a failed save never advances the truncation point.
-// Version 4 also persists the stream's logical counters, valued *at the
-// watermark*: Ingested is written as processed+stale_dropped+failed+
-// superseded rather than the live ingest counter, because every
-// acknowledged record is appended to the log before it is counted
-// ingested — so records acknowledged but not yet processed at
-// checkpoint time sit past the watermark and will re-count themselves
-// during replay. A rebooted daemon thus reports exactly the counters an
-// uninterrupted run would have, and the read-your-writes identity
-// (processed+stale_dropped+failed+superseded == ingested) survives the
-// crash.
+// The same envelope is the body of POST /v1/admin/checkpoint and the
+// payload of a snapshot frame in the stream's write-ahead log.
 type checkpointEnvelope struct {
 	Version   int
 	Spec      StreamSpec
 	Names     []string
 	Tracker   []byte
 	NotifySeq uint64
-	WALLogID  string
-	WALSeg    uint64
-	WALOff    int64
 	Counters  checkpointCounters
 }
 
 // checkpointCounters is the stream-logical counter snapshot embedded in
-// a Version ≥ 4 envelope (see above for the Ingested convention).
+// an envelope, valued at the log position the state covers: Ingested is
+// written as processed+stale_dropped+failed+superseded rather than the
+// live ingest counter, because every acknowledged record is appended to
+// the log before it is counted ingested — records acknowledged but not
+// yet processed lie past the covered position and re-count themselves
+// during replay. A rebooted daemon thus reports exactly the counters an
+// uninterrupted run would have, and the read-your-writes identity
+// (processed+stale_dropped+failed+superseded == ingested) survives a
+// crash.
 type checkpointCounters struct {
 	Ingested     uint64
 	Processed    uint64
@@ -1179,57 +1080,130 @@ type checkpointCounters struct {
 	Chunks       uint64
 }
 
-// checkpointVersion is the envelope version this server writes.
-const checkpointVersion = 4
+// checkpointVersion is the only envelope version this server writes and
+// reads.
+const checkpointVersion = 5
+
+// snapMark is what a checkpoint compares to tell an idle stream: the
+// counters and notify sequence a snapshot recorded. Events published
+// without processing (quality, stream status) move the sequence alone.
+type snapMark struct {
+	counters checkpointCounters
+	seq      uint64
+}
+
+// mark returns the envelope's snapMark.
+func (e *checkpointEnvelope) mark() *snapMark {
+	return &snapMark{counters: e.Counters, seq: e.NotifySeq}
+}
+
+// mark returns the stream's live snapMark (worker goroutine only).
+func (w *worker) mark() snapMark {
+	return snapMark{counters: w.m.checkpointCounters(), seq: w.notifySeq()}
+}
+
+// notifySeq reads the stream's notify sequence counter (0 without a
+// hub).
+func (w *worker) notifySeq() uint64 {
+	if w.hub == nil {
+		return 0
+	}
+	return w.hub.Seq(w.name)
+}
 
 // checkpoint serializes the stream (runs on the worker goroutine via
-// do), returning the envelope bytes plus the WAL watermark the state
-// covers (zero when the stream has no log). Queued chunks are processed
-// first: every record already acknowledged with 200 OK is either in the
-// serialized state or past the watermark in the log, so nothing is lost
-// across restart either way.
-func (w *worker) checkpoint() ([]byte, wal.Pos, error) {
+// do). Queued chunks are processed first: every record already
+// acknowledged with 200 OK is in the serialized state or, with a
+// write-ahead log, past the position the state covers.
+func (w *worker) checkpoint() ([]byte, *snapMark, error) {
 	w.drainQueued()
 	st := w.state.Load()
 	var trk bytes.Buffer
 	if err := tdnstream.SaveTracker(&trk, st.tracker); err != nil {
-		return nil, wal.Pos{}, err
+		return nil, nil, err
 	}
 	env := checkpointEnvelope{
-		Version: checkpointVersion,
-		Spec:    st.spec,
-		Names:   w.labels.names(),
-		Tracker: trk.Bytes(),
+		Spec:      st.spec,
+		Names:     w.labels.names(),
+		Tracker:   trk.Bytes(),
+		NotifySeq: w.notifySeq(),
+		Counters:  w.m.checkpointCounters(),
 	}
 	env.Spec.Token = "" // bearer secrets never leave the process
-	if w.hub != nil {
-		env.NotifySeq = w.hub.Seq(w.name)
-	}
-	env.Counters = w.m.checkpointCounters()
-	var mark wal.Pos
-	if w.wlog != nil {
-		mark = w.walApplied
-		env.WALLogID = w.wlog.ID()
-		env.WALSeg, env.WALOff = mark.Seg, mark.Off
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return nil, wal.Pos{}, fmt.Errorf("server: encode checkpoint: %w", err)
-	}
-	return buf.Bytes(), mark, nil
+	data, err := encodeCheckpoint(&env)
+	return data, env.mark(), err
 }
 
-// truncateWAL drops log segments wholly covered by mark — the watermark
-// of a checkpoint that was durably saved. Only whole segments go; the
-// segment holding the mark stays until a later checkpoint moves past
-// it. Safe to call concurrently with appends (the log's own lock
-// orders them; appends only ever touch the newest segment).
-func (w *worker) truncateWAL(mark wal.Pos) error {
-	if w.wlog == nil {
-		return nil
+// encodeCheckpoint gob-encodes an envelope at the current version.
+func encodeCheckpoint(env *checkpointEnvelope) ([]byte, error) {
+	env.Version = checkpointVersion
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+		return nil, fmt.Errorf("server: encode checkpoint: %w", err)
 	}
-	_, err := w.wlog.TruncateBefore(mark)
+	return buf.Bytes(), nil
+}
+
+// logCheckpoint appends a snapshot of the stream to its write-ahead log
+// and drops the history it covers (runs on the worker goroutine via
+// do). The snapshot covers the applied watermark, not its own position:
+// handlers keep appending and acknowledging chunks while the state
+// serializes, and those chunks precede the frame without being in its
+// state. The log is synced whatever the fsync policy before any segment
+// goes, so a power loss can never take the snapshot after the history
+// it replaces. A failed append or sync degrades the stream like an
+// ingest fault; the truncation point stays put, and the next checkpoint
+// tries again. A stream that is already degraded is skipped.
+func (w *worker) logCheckpoint() error {
+	if w.degraded.Load() {
+		// The repair loop owns the faulted log; the next checkpoint
+		// after it heals takes the snapshot.
+		return fmt.Errorf("server: stream %q: write-ahead log degraded; checkpoint skipped", w.name)
+	}
+	w.drainQueued()
+	if w.snapped != nil && *w.snapped == w.mark() {
+		return nil // idle since the newest snapshot
+	}
+	data, mark, err := w.checkpoint()
+	if err != nil {
+		return err
+	}
+	covers, err := w.appendSnapshot(data)
+	if err != nil {
+		err = fmt.Errorf("server: stream %q: checkpoint snapshot: %w", w.name, err)
+		w.degrade(err)
+		return err
+	}
+	w.snapped = mark
+	w.cfg.Flight.Record(obs.EventCheckpointSaved, w.name, "checkpoint snapshot logged", "",
+		"bytes", fmt.Sprintf("%d", len(data)),
+		"covers_seg", fmt.Sprintf("%d", covers.Seg),
+		"covers_off", fmt.Sprintf("%d", covers.Off))
+	removed, err := w.wlog.TruncateBefore(covers)
+	if removed > 0 {
+		w.cfg.Flight.Record(obs.EventWALTruncated, w.name, "snapshot-covered segments truncated", "",
+			"segments", fmt.Sprintf("%d", removed))
+	}
 	return err
+}
+
+// appendSnapshot appends a checkpoint's snapshot frame and syncs the
+// log, returning the position the snapshot covers: the applied
+// watermark, or — for a stream whose chunks are not logged — everything
+// before the frame. walMu keeps chunk appends, and the segment rotations
+// they may cause, out until the Sync is done, so the frame is in a
+// segment the Sync reaches under every fsync policy.
+func (w *worker) appendSnapshot(data []byte) (wal.Pos, error) {
+	w.walMu.Lock()
+	defer w.walMu.Unlock()
+	covers := w.walApplied
+	if !w.logChunks {
+		covers = w.wlog.End()
+	}
+	if _, _, err := w.wlog.Append(wal.AppendEncodeSnapshot(nil, covers, data)); err != nil {
+		return wal.Pos{}, err
+	}
+	return covers, w.wlog.Sync()
 }
 
 // destroyWAL deletes the stream's log directory — stream removal, not
@@ -1274,9 +1248,8 @@ func (w *worker) restore(env *checkpointEnvelope) error {
 	// carry auth; the stream's live token survives the restore untouched
 	// (w.token is worker state, not swapped state). The WAL toggle is
 	// likewise a property of the hosting stream, not the donor
-	// checkpoint: adopting the donor's "off" would make the *next* boot
-	// skip opening the log and silently drop the tail replay — acked
-	// records lost — while the live worker kept appending all along.
+	// checkpoint: adopting the donor's "off" would silently stop logging
+	// the chunks this stream acknowledges.
 	env.Spec.Token = ""
 	env.Spec.WAL = w.state.Load().spec.WAL
 	st, err := buildState(env.Spec, env.Tracker)
@@ -1290,36 +1263,30 @@ func (w *worker) restore(env *checkpointEnvelope) error {
 	w.discardQueued()
 	w.closeMu.Lock()
 	w.discardQueued()
-	// Log the restore itself before swapping: a restore is one more
-	// event in the stream's history, so it goes into the write-ahead
-	// log in line with the chunks — crash recovery then replays
-	// pre-restore chunks into the old state, swaps at the marker, and
-	// replays post-restore chunks on top, reproducing exactly what the
-	// live stream did even when no checkpoint file was saved after the
-	// restore. The marker carries the envelope plus the live
-	// watermark-consistent counters (the envelope's own counters
-	// describe its source stream, not this one's history — restore
-	// deliberately keeps the live counters and accounts the discarded
-	// queue as superseded). A marker that cannot be appended (disk
-	// failure) fails the restore with the old state intact; the queue
-	// it already discarded stays discarded — in that corner a later
-	// crash replay re-applies those still-logged chunks, an
-	// over-recovery of acknowledged records, never a loss. Discard must
-	// precede the marker: the marker's counters have to include the
-	// superseded total for recovered counters to match the live ones
-	// exactly.
-	var markerTok wal.Token
+	// Log the restore before swapping: it is one more event in the
+	// stream's history, a snapshot frame in line with the chunks, so
+	// crash recovery starts from it and replays only the chunks after
+	// it. The frame carries the live counters (the envelope's own
+	// describe its source stream; restore keeps the live ones and
+	// accounts the discarded queue as superseded), so discard must
+	// precede it, and never a notify sequence below the live one. A frame that cannot be appended fails the restore with
+	// the old state intact and degrades the stream; the queue it already
+	// discarded stays discarded — in that corner a later crash replay
+	// re-applies those still-logged chunks, an over-recovery of
+	// acknowledged records, never a loss.
+	var tok wal.Token
 	if w.wlog != nil {
 		env.Counters = w.m.checkpointCounters()
-		pos, tok, err := w.appendRestoreMarker(env)
+		env.NotifySeq = max(env.NotifySeq, w.notifySeq())
+		end, t, err := w.appendRestore(env)
 		if err != nil {
 			w.closeMu.Unlock()
-			msg := err.Error()
-			w.lastErr.Store(&msg)
+			w.degrade(err)
 			return err
 		}
-		w.setWALApplied(pos)
-		markerTok = tok
+		w.setWALApplied(end)
+		w.snapped = env.mark()
+		tok = t
 	}
 	w.labels.reset(env.Names)
 	w.lastT, _ = tdnstream.TrackerNow(st.tracker)
@@ -1343,8 +1310,8 @@ func (w *worker) restore(env *checkpointEnvelope) error {
 	// reported like the ingest path reports it — the caller must not
 	// believe the restore survives a machine crash when the log could
 	// not prove it.
-	if err := w.commitWAL(markerTok, nil); err != nil {
-		return fmt.Errorf("restore marker: %w", err)
+	if err := w.commitWAL(tok, nil); err != nil {
+		return fmt.Errorf("restore snapshot: %w", err)
 	}
 	return nil
 }
@@ -1353,7 +1320,7 @@ func (w *worker) restore(env *checkpointEnvelope) error {
 // called (runs on the worker goroutine). The run-loop select picks admin
 // operations and chunks in arbitrary order, so checkpoint calls this
 // first: every record already acknowledged must be in the serialized
-// state. The drain is bounded by the queue length at entry: sustained
+// state or past the position it covers. The drain is bounded by the queue length at entry: sustained
 // ingest can keep the queue non-empty forever, and records enqueued
 // after the operation began are not its responsibility.
 func (w *worker) drainQueued() {
@@ -1400,9 +1367,8 @@ func decodeCheckpoint(data []byte) (*checkpointEnvelope, error) {
 	if env.Spec.Name == "" || len(env.Tracker) == 0 {
 		return nil, errors.New("server: decode checkpoint: empty envelope")
 	}
-	if env.Version > checkpointVersion {
-		return nil, fmt.Errorf("server: checkpoint version %d is newer than this server supports (%d)",
-			env.Version, checkpointVersion)
+	if env.Version != checkpointVersion {
+		return nil, fmt.Errorf("server: checkpoint version %d, want %d", env.Version, checkpointVersion)
 	}
 	return &env, nil
 }

@@ -373,46 +373,3 @@ func TestCommitShardsConcurrent(t *testing.T) {
 		})
 	}
 }
-
-// TestShardedCommitSurvivesReset: Reset mid-commit-storm releases
-// waiters with ErrReset (or an ack for already-synced tokens) and the
-// log keeps working afterwards at a fresh history.
-func TestShardedCommitSurvivesReset(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Fsync: FsyncAlways, CommitShards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_, tok, err := l.Append([]byte(fmt.Sprintf("pre-%d-%d", w, i)))
-				if err != nil {
-					return // reset closed the appender's world; fine
-				}
-				_ = l.Commit(tok) // nil or ErrReset, both legal
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := l.Reset(); err != nil {
-		t.Fatalf("reset: %v", err)
-	}
-	_, tok, err := l.Append([]byte("post-reset"))
-	if err != nil {
-		t.Fatalf("append after reset: %v", err)
-	}
-	if err := l.Commit(tok); err != nil {
-		t.Fatalf("commit after reset: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := replayAll(t, dir)
-	if len(got) != 1 || string(got[0]) != "post-reset" {
-		t.Fatalf("post-reset replay: %d records", len(got))
-	}
-}

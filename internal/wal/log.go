@@ -18,11 +18,6 @@ import (
 	"tdnstream/internal/fault"
 )
 
-// ErrReset reports a Commit interrupted by Reset: the log's history was
-// wiped (a checkpoint restore superseded it), so the durability of the
-// awaited append is moot — its record no longer exists.
-var ErrReset = errors.New("wal: log reset while awaiting commit")
-
 // ErrFenced reports a Commit for a token Repair fenced off: the fault
 // hit while the append's durability was in flight, so it can never be
 // proven. Unlike a live fault, a fenced Commit does not mean the log is
@@ -31,11 +26,9 @@ var ErrReset = errors.New("wal: log reset while awaiting commit")
 var ErrFenced = errors.New("wal: durability unproven at repair")
 
 const (
-	metaName    = "meta"
-	lockName    = "lock"
-	segPrefix   = "seg-"
-	segSuffix   = ".wal"
-	metaVersion = "walmeta-v1"
+	lockName  = "lock"
+	segPrefix = "seg-"
+	segSuffix = ".wal"
 )
 
 // Log is one stream's write-ahead log: an append-only sequence of
@@ -48,7 +41,6 @@ type Log struct {
 	fs   fault.FS
 
 	mu       sync.Mutex // file state: active handle, offsets, rotation, truncation
-	id       string
 	firstSeg uint64
 	seg      uint64 // active segment index
 	segSize  int64  // bytes in the active segment
@@ -72,7 +64,6 @@ type Log struct {
 	synced  uint64 // appends proven durable
 	syncing bool   // a leader fsync is in flight
 	syncErr error  // sticky: a failed fsync poisons durability claims
-	gen     uint64 // bumped by Reset so waiters bail with ErrReset
 	sv      uint64 // state version: bumped on every sync-state mutation
 	fsyncs  uint64
 	// fsyncNanos is cumulative wall time inside leader fsync rounds —
@@ -111,7 +102,6 @@ type Log struct {
 type syncState struct {
 	synced   uint64
 	err      error
-	gen      uint64
 	sv       uint64
 	fence    uint64
 	fenceErr error
@@ -157,9 +147,6 @@ func Open(dir string, opts Options) (*Log, error) {
 			l.unlock()
 		}
 	}()
-	if err := l.loadMeta(); err != nil {
-		return nil, err
-	}
 	segs, err := l.listSegments()
 	if err != nil {
 		return nil, err
@@ -209,7 +196,7 @@ func (l *Log) unlock() {
 }
 
 // openActive opens the active segment for appending and accounts its
-// size. Callers hold no locks (Open / Reset, both exclusive).
+// size. Called from Open only, which has the log to itself.
 func (l *Log) openActive(create int) error {
 	f, err := l.fs.OpenFile(l.segPath(l.seg), os.O_WRONLY|os.O_APPEND|create, 0o644)
 	if err != nil {
@@ -223,52 +210,6 @@ func (l *Log) openActive(create int) error {
 	l.f = f
 	l.segSize = fi.Size()
 	l.bytes += fi.Size()
-	return nil
-}
-
-// loadMeta reads the log identity, minting one for a fresh directory.
-func (l *Log) loadMeta() error {
-	path := filepath.Join(l.dir, metaName)
-	data, err := l.fs.ReadFile(path)
-	if err == nil {
-		fields := strings.Fields(string(data))
-		if len(fields) == 2 && fields[0] == metaVersion && fields[1] != "" {
-			l.id = fields[1]
-			return nil
-		}
-		// Corrupt meta: fall through and re-mint. The identity is lost,
-		// so checkpoint watermarks against the old identity will miss
-		// and trigger a reset — the safe direction.
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return l.writeMeta()
-}
-
-// writeMeta mints a fresh identity and persists it atomically.
-func (l *Log) writeMeta() error {
-	id, err := newLogID()
-	if err != nil {
-		return err
-	}
-	tmp, err := l.fs.CreateTemp(l.dir, metaName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := fmt.Fprintf(tmp, "%s %s\n", metaVersion, id); err != nil {
-		tmp.Close()
-		l.fs.Remove(tmp.Name())
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		l.fs.Remove(tmp.Name())
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := l.fs.Rename(tmp.Name(), filepath.Join(l.dir, metaName)); err != nil {
-		l.fs.Remove(tmp.Name())
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.id = id
 	return nil
 }
 
@@ -303,19 +244,9 @@ func (l *Log) listSegments() ([]uint64, error) {
 	return segs, nil
 }
 
-// ID returns the log's persistent random identity. A checkpoint records
-// it next to its watermark; replay honors the watermark only when the
-// identities match, so a checkpoint restored onto a different machine
-// (or over a wiped directory) can never splice into an unrelated log.
-func (l *Log) ID() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.id
-}
-
 // Start returns the earliest retained position (the start of the oldest
-// live segment). After truncation this moves forward; replay without a
-// checkpoint begins here.
+// live segment). After truncation this moves forward; a log whose
+// start is not genesis needs a snapshot to replay from.
 func (l *Log) Start() Pos {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -357,10 +288,17 @@ func (l *Log) Append(payload []byte) (Pos, Token, error) {
 		}
 	}
 	need := frameHeaderSize + len(payload)
-	if cap(l.scratch) < need {
-		l.scratch = make([]byte, 0, need+need/2)
+	frame := l.scratch
+	switch {
+	case need > maxScratchBytes:
+		// A snapshot frame is the size of the whole stream state; keeping
+		// its buffer would pin that much memory for the log's lifetime.
+		frame = make([]byte, 0, need)
+	case cap(frame) < need:
+		frame = make([]byte, 0, need+need/2)
+		l.scratch = frame
 	}
-	frame := l.scratch[:frameHeaderSize]
+	frame = frame[:frameHeaderSize]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 	frame = append(frame, payload...)
@@ -434,14 +372,10 @@ func (l *Log) Commit(t Token) error {
 	s := &l.shards[seq%uint64(len(l.shards))]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gen := s.st.gen
 	if seq > s.want {
 		s.want = seq
 	}
 	for {
-		if s.st.gen != gen {
-			return ErrReset
-		}
 		if seq <= s.st.fence {
 			return s.st.fenceErr
 		}
@@ -474,12 +408,14 @@ func (l *Log) Commit(t Token) error {
 	}
 }
 
-// Sync forces an fsync of the active segment regardless of policy
-// (FsyncNone excepted — "none" means never). Close calls it.
+// Sync fsyncs every frame appended so far, whatever the fsync policy:
+// a checkpoint calls it before truncating the segments its snapshot
+// covers, so that a power loss cannot take the snapshot after the
+// history it replaces is gone. Under FsyncNone a rotated-away segment
+// is closed without an fsync, so only the active segment is synced
+// there; callers that need their frame synced keep other appends out
+// between their Append and Sync.
 func (l *Log) Sync() error {
-	if l.opts.Fsync == FsyncNone {
-		return nil
-	}
 	l.mu.Lock()
 	target := l.appends
 	l.mu.Unlock()
@@ -489,7 +425,7 @@ func (l *Log) Sync() error {
 // syncStateLocked snapshots the group-commit state. Callers hold sm.
 func (l *Log) syncStateLocked() syncState {
 	return syncState{
-		synced: l.synced, err: l.syncErr, gen: l.gen, sv: l.sv,
+		synced: l.synced, err: l.syncErr, sv: l.sv,
 		fence: l.fence, fenceErr: l.fenceErr,
 	}
 }
@@ -515,9 +451,6 @@ func (l *Log) pushShards(st syncState) {
 		s := &l.shards[i]
 		s.mu.Lock()
 		if st.sv > s.st.sv {
-			if st.gen != s.st.gen {
-				s.want = 0 // tokens from the wiped history are moot
-			}
 			s.st = st
 		}
 		s.cond.Broadcast()
@@ -526,16 +459,11 @@ func (l *Log) pushShards(st syncState) {
 }
 
 // syncThrough blocks until appends ≤ seq are fsynced, electing one
-// waiter as the fsync leader per round. seq beyond the current frontier
-// (a stale shard high-water mark after Reset) is clamped to it.
+// waiter as the fsync leader per round.
 func (l *Log) syncThrough(seq uint64) error {
 	l.sm.Lock()
 	defer l.sm.Unlock()
-	gen := l.gen
 	for {
-		if l.gen != gen {
-			return ErrReset
-		}
 		if l.syncErr != nil {
 			return l.syncErr
 		}
@@ -591,14 +519,6 @@ func (l *Log) syncThrough(seq uint64) error {
 		l.fsyncs += syncs
 		l.fsyncNanos += uint64(syncD.Nanoseconds())
 		l.sv++
-		if l.gen != gen {
-			l.cond.Broadcast()
-			st := l.syncStateLocked()
-			l.sm.Unlock()
-			l.pushShards(st)
-			l.sm.Lock()
-			return ErrReset
-		}
 		if err != nil {
 			if l.syncErr == nil {
 				l.syncErr = fmt.Errorf("wal: fsync: %w", err)
@@ -707,7 +627,7 @@ func (l *Log) Repair() error {
 
 // ReadFrom replays record payloads starting at the frame boundary pos,
 // calling fn with each payload and the position *after* its frame (what
-// a checkpoint taken after applying it should store). The payload slice
+// a snapshot taken after applying it covers). The payload slice
 // is reused between calls — fn must not retain it. A torn or corrupt
 // frame in the final segment ends the replay cleanly (that is the
 // crash tail); corruption in an earlier segment is an error, because
@@ -716,13 +636,16 @@ func (l *Log) Repair() error {
 // return ErrTruncated.
 func (l *Log) ReadFrom(pos Pos, fn func(payload []byte, end Pos) error) error {
 	l.mu.Lock()
-	first, last := l.firstSeg, l.seg
+	first, last, end := l.firstSeg, l.seg, Pos{Seg: l.seg, Off: l.segSize}
 	l.mu.Unlock()
 	if pos.Seg < first {
 		return fmt.Errorf("%w (want %v, earliest %v)", ErrTruncated, pos, Pos{Seg: first})
 	}
 	if pos.Seg > last {
 		return fmt.Errorf("wal: position %v beyond the last segment %d", pos, last)
+	}
+	if pos == end {
+		return nil // nothing appended past pos (a fresh log, an empty tail)
 	}
 	for seg := pos.Seg; seg <= last; seg++ {
 		skip := int64(0)
@@ -792,37 +715,12 @@ func scanSegment(fsys fault.FS, path string, skip int64, fn func(payload []byte,
 	}
 }
 
-// errPeekStop ends a FirstKind scan after one record.
-var errPeekStop = errors.New("wal: peek stop")
-
-// FirstKind reports the kind tag of the earliest retained record (ok =
-// false when the log holds none). Boot-time recovery uses it to tell a
-// self-sufficient log — one whose history begins with a restore marker
-// — from an unrelated lineage.
-func (l *Log) FirstKind() (Kind, bool, error) {
-	l.mu.Lock()
-	first := l.firstSeg
-	l.mu.Unlock()
-	var kind Kind
-	found := false
-	_, _, err := scanSegment(l.fs, l.segPath(first), 0, func(p []byte, _ Pos) error {
-		if k, kerr := PayloadKind(p); kerr == nil {
-			kind, found = k, true
-		}
-		return errPeekStop
-	})
-	if err != nil && !errors.Is(err, errPeekStop) {
-		return 0, false, err
-	}
-	return kind, found, nil
-}
-
 // TruncateBefore removes segments wholly covered by the watermark pos:
 // every segment with an index below pos.Seg. The segment holding pos
 // stays (it may carry frames past the watermark), as does the active
 // segment. Returns how many segments were removed. Callers invoke this
-// only after the checkpoint that produced pos was durably saved — a
-// failed save must never advance the truncation point.
+// only after the snapshot covering pos was appended and synced — a
+// failed checkpoint must never advance the truncation point.
 func (l *Log) TruncateBefore(pos Pos) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -831,9 +729,8 @@ func (l *Log) TruncateBefore(pos Pos) (int, error) {
 		path := l.segPath(l.firstSeg)
 		fi, err := l.fs.Stat(path)
 		if errors.Is(err, os.ErrNotExist) {
-			// Already gone — the whole log may have been removed out
-			// from under a late truncation (a stream deleted while its
-			// checkpoint was saving). Nothing left to protect.
+			// Already gone (removed out from under the log): nothing
+			// left to protect.
 			l.firstSeg++
 			continue
 		}
@@ -850,51 +747,6 @@ func (l *Log) TruncateBefore(pos Pos) (int, error) {
 	return removed, nil
 }
 
-// Reset wipes the log — every segment is deleted and a fresh identity
-// is minted — and restarts it empty at segment 0. Used when a
-// checkpoint restore replaces the stream state wholesale: the log
-// described the superseded history, and replaying it over the restored
-// state would resurrect exactly what the restore discarded. Outstanding
-// Commit waiters are released with ErrReset.
-func (l *Log) Reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f != nil {
-		l.f.Close()
-	}
-	for _, f := range l.retiring {
-		f.Close()
-	}
-	l.retiring = nil
-	segs, err := l.listSegments()
-	if err != nil {
-		return err
-	}
-	for _, s := range segs {
-		if err := l.fs.Remove(l.segPath(s)); err != nil {
-			return fmt.Errorf("wal: reset: %w", err)
-		}
-	}
-	if err := l.writeMeta(); err != nil {
-		return err
-	}
-	l.firstSeg, l.seg, l.segSize, l.bytes, l.appends = 0, 0, 0, 0, 0
-	l.f = nil
-	l.writeErr = nil
-	if err := l.openActive(os.O_CREATE | os.O_EXCL); err != nil {
-		return err
-	}
-	l.bytes = 0 // openActive re-added the (empty) active size
-	l.mutateSync(func() {
-		l.gen++
-		l.synced = 0
-		l.syncErr = nil
-		l.fence = 0
-		l.fenceErr = nil
-	})
-	return nil
-}
-
 // Close flushes (a final fsync unless the policy is none), stops the
 // background sync loop, and closes the active segment. The log must not
 // be used afterwards.
@@ -904,7 +756,10 @@ func (l *Log) Close() error {
 		<-l.done
 		l.stop = nil
 	}
-	syncErr := l.Sync()
+	var syncErr error
+	if l.opts.Fsync != FsyncNone {
+		syncErr = l.Sync()
+	}
 	l.mu.Lock()
 	var closeErr error
 	if l.f != nil {

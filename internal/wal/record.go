@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"tdnstream/internal/ids"
 	"tdnstream/internal/stream"
@@ -14,14 +15,12 @@ type Kind byte
 const (
 	// KindChunk is one post-intern ingest chunk (Record).
 	KindChunk Kind = 1
-	// KindRestore is an in-place checkpoint restore, logged *in line*
-	// with the chunks: the payload is the restored checkpoint envelope
-	// itself. Replay applies chunks to the evolving state and, on
-	// hitting a restore marker, swaps the embedded state in — exactly
-	// the sequence the live stream executed — so even "restore, then
-	// more ingest, then crash" recovers to the precise pre-crash state
-	// without any checkpoint file written in between.
-	KindRestore Kind = 2
+	// KindSnapshot is a full stream state, appended in line with the
+	// chunks by a checkpoint or an admin restore. The payload carries
+	// the position the state covers, then the checkpoint envelope
+	// itself. Recovery starts from the newest snapshot and replays the
+	// chunks from its covered position on.
+	KindSnapshot Kind = 2
 )
 
 const recordKindChunk = byte(KindChunk)
@@ -32,27 +31,48 @@ func PayloadKind(b []byte) (Kind, error) {
 		return 0, fmt.Errorf("wal: empty record")
 	}
 	switch k := Kind(b[0]); k {
-	case KindChunk, KindRestore:
+	case KindChunk, KindSnapshot:
 		return k, nil
 	default:
 		return 0, fmt.Errorf("wal: unknown record kind %d", b[0])
 	}
 }
 
-// AppendEncodeRestore appends a restore marker's wire form (kind byte +
-// the checkpoint envelope bytes) to buf.
-func AppendEncodeRestore(buf, envelope []byte) []byte {
-	buf = append(buf, byte(KindRestore))
+// AppendEncodeSnapshot appends a snapshot's wire form to buf. Layout:
+//
+//	u8   kind
+//	uv   covers.Seg, uv covers.Off
+//	     the checkpoint envelope bytes, to the end of the payload
+//
+// covers is the log position the state accounts for: every chunk
+// before it is in the state, every chunk from it on is not. It may lie
+// before the snapshot frame itself, because chunks are appended
+// concurrently with a checkpoint.
+func AppendEncodeSnapshot(buf []byte, covers Pos, envelope []byte) []byte {
+	buf = append(buf, byte(KindSnapshot))
+	buf = binary.AppendUvarint(buf, covers.Seg)
+	buf = binary.AppendUvarint(buf, uint64(covers.Off))
 	return append(buf, envelope...)
 }
 
-// DecodeRestore returns the checkpoint envelope a restore marker
-// carries. The returned slice aliases b.
-func DecodeRestore(b []byte) ([]byte, error) {
-	if len(b) == 0 || Kind(b[0]) != KindRestore {
-		return nil, fmt.Errorf("wal: not a restore record")
+// DecodeSnapshot parses a snapshot payload into the position it covers
+// and its checkpoint envelope. The envelope aliases b.
+func DecodeSnapshot(b []byte) (covers Pos, envelope []byte, err error) {
+	if len(b) == 0 || Kind(b[0]) != KindSnapshot {
+		return Pos{}, nil, fmt.Errorf("wal: not a snapshot record")
 	}
-	return b[1:], nil
+	seg, b, err := takeUvarint(b[1:])
+	if err != nil {
+		return Pos{}, nil, err
+	}
+	off, b, err := takeUvarint(b)
+	if err != nil {
+		return Pos{}, nil, err
+	}
+	if off > math.MaxInt64 {
+		return Pos{}, nil, fmt.Errorf("wal: snapshot offset %d out of range", off)
+	}
+	return Pos{Seg: seg, Off: int64(off)}, b, nil
 }
 
 // Record is one logged ingest chunk: the interned interaction rows plus

@@ -1,23 +1,23 @@
 // Package wal is the per-stream write-ahead log behind influtrackd's
 // exact crash recovery: a segmented, CRC32C-framed append log of
 // post-intern ingest chunks, written *before* the serving layer
-// acknowledges a record with 200 OK.
+// acknowledges a record with 200 OK, and of the snapshots that let
+// recovery skip the history before them.
 //
-// Checkpoints alone make durability periodic: a kill -9 between
-// checkpoints silently loses every record acknowledged since the last
-// save. The WAL closes that window the way replayable-ingest systems do
-// — the stream is a recoverable sequence of edge updates (the framing
-// of Yang et al., arXiv:1602.04490), so recovery is checkpoint + replay
-// of the log tail past the checkpoint's watermark, reconstructing the
-// exact pre-crash tracker state.
+// The stream is a recoverable sequence of edge updates (the framing of
+// Yang et al., arXiv:1602.04490), so one log holds everything durable
+// about it. A checkpoint appends a snapshot frame — the full stream
+// state plus the position it covers — and then deletes the segments
+// before that position; recovery loads the newest snapshot and replays
+// the chunks from its covered position on, reconstructing the exact
+// pre-crash tracker state. A log without a snapshot replays from
+// genesis.
 //
 // # Layout
 //
-// A Log owns one directory. It holds a `meta` file carrying the log's
-// random identity (so a checkpoint watermark can prove it refers to
-// *this* log and not a copy restored from another machine) and
-// monotonically numbered segment files `seg-%016d.wal`. Each segment is
-// a sequence of frames:
+// A Log owns one directory of monotonically numbered segment files
+// `seg-%016d.wal` (plus a `lock` file). Each segment is a sequence of
+// frames:
 //
 //	[u32 payload length][u32 CRC32C(payload)][payload]
 //
@@ -25,7 +25,9 @@
 // span segments. A torn final frame (short header, short payload, or
 // CRC mismatch — what a crash mid-write leaves behind) is detected on
 // open and truncated away; everything before it is intact by
-// construction, because frames are appended with a single write.
+// construction, because frames are appended with a single write. A
+// payload's first byte is its Kind: KindChunk (Record) or KindSnapshot
+// (AppendEncodeSnapshot).
 //
 // # Durability model
 //
@@ -42,8 +44,12 @@
 //     FsyncEvery. 200 OK means "will be on disk within the interval";
 //     power loss can cost up to one interval of acknowledged records,
 //     process crashes cost nothing.
-//   - FsyncNone: never fsync (the OS writes back on its own schedule).
-//     Still exact under kill -9; fastest; weakest under power loss.
+//   - FsyncNone: commits never fsync (the OS writes back on its own
+//     schedule). Still exact under kill -9; fastest; weakest under
+//     power loss.
+//
+// Sync fsyncs under every policy: a checkpoint syncs its snapshot
+// before truncating the history the snapshot replaces.
 //
 // A failed fsync poisons the log (Commit keeps failing): after EIO the
 // kernel may have dropped the dirty pages, so retrying and reporting
@@ -51,8 +57,6 @@
 package wal
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -88,7 +92,7 @@ type Options struct {
 	FsyncEvery time.Duration
 	// SegmentBytes rotates to a new segment once the active one reaches
 	// this size (default 64 MiB). Rotation is what makes truncation
-	// cheap: checkpoint-covered history is dropped whole segments at a
+	// cheap: snapshot-covered history is dropped whole segments at a
 	// time. A single oversized record still fits — frames may exceed
 	// SegmentBytes; rotation happens between appends, never inside one.
 	SegmentBytes int64
@@ -136,7 +140,7 @@ func (o Options) withDefaults() (Options, error) {
 
 // Pos addresses a frame boundary: byte offset Off into segment Seg.
 // The positions the Log hands out (from Append and ReadFrom) are always
-// boundaries; a checkpoint stores the Pos *after* the last chunk it
+// boundaries; a snapshot stores the Pos *after* the last chunk it
 // covers and replay resumes there.
 type Pos struct {
 	Seg uint64
@@ -183,14 +187,10 @@ const frameHeaderSize = 8
 // request.
 const maxFrameBytes = 1 << 30
 
+// maxScratchBytes bounds the frame assembly buffer a Log keeps between
+// appends: ingest chunks fit, larger frames (snapshots) get a buffer of
+// their own.
+const maxScratchBytes = 1 << 20
+
 // castagnoli is the CRC32C table shared by writer and reader.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// newLogID mints a random 128-bit log identity.
-func newLogID() (string, error) {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("wal: mint log id: %w", err)
-	}
-	return hex.EncodeToString(b[:]), nil
-}

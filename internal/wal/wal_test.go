@@ -65,15 +65,12 @@ func TestAppendReadRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: same records, same identity, appends continue at the tail.
+	// Reopen: same records, appends continue at the tail.
 	l2, err := Open(dir, Options{Fsync: FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if l2.ID() == "" || l2.ID() != l.ID() {
-		t.Fatalf("identity not persisted across reopen: %q vs %q", l2.ID(), l.ID())
-	}
 	got, _ = collect(t, l2, Pos{})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopen replay mismatch")
@@ -272,42 +269,6 @@ func TestGroupCommitAlways(t *testing.T) {
 	}
 }
 
-func TestResetWipesHistoryAndIdentity(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 10; i++ {
-		if _, _, err := l.Append([]byte(fmt.Sprintf("old-history-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oldID := l.ID()
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if l.ID() == oldID {
-		t.Fatal("reset kept the old log identity")
-	}
-	if got, _ := collect(t, l, Pos{}); len(got) != 0 {
-		t.Fatalf("reset left %d records", len(got))
-	}
-	if end := l.End(); !end.IsZero() {
-		t.Fatalf("reset end %v, want genesis", end)
-	}
-	if st := l.Stats(); st.Bytes != 0 {
-		t.Fatalf("reset bytes %d, want 0", st.Bytes)
-	}
-	if _, _, err := l.Append([]byte("new-history")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := collect(t, l, Pos{}); len(got) != 1 || got[0] != "new-history" {
-		t.Fatalf("post-reset replay: %v", got)
-	}
-}
-
 func TestRemoveDeletesDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "stream")
 	l, err := Open(dir, Options{Fsync: FsyncNone})
@@ -391,4 +352,34 @@ func TestRecordCodecRoundtrip(t *testing.T) {
 		t.Fatal("unknown record kind decoded without error")
 	}
 	_ = ids.NodeID(0) // keep the import honest about what Rows carry
+}
+
+func TestSnapshotCodecRoundtrip(t *testing.T) {
+	covers := Pos{Seg: 3, Off: 1 << 40}
+	envelope := []byte("gob envelope bytes")
+	buf := AppendEncodeSnapshot([]byte("prefix"), covers, envelope)[len("prefix"):]
+	if k, err := PayloadKind(buf); err != nil || k != KindSnapshot {
+		t.Fatalf("kind = %v, %v; want KindSnapshot", k, err)
+	}
+	gotCovers, gotEnv, err := DecodeSnapshot(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotCovers != covers || string(gotEnv) != string(envelope) {
+		t.Fatalf("roundtrip: got %v %q, want %v %q", gotCovers, gotEnv, covers, envelope)
+	}
+	// A chunk is not a snapshot, and a truncated position is an error.
+	if _, _, err := DecodeSnapshot((&Record{}).AppendEncode(nil)); err == nil {
+		t.Fatal("chunk decoded as a snapshot")
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := DecodeSnapshot(buf[:i]); err == nil {
+			t.Fatalf("truncation at %d decoded without error", i)
+		}
+	}
+	// Offsets past int64 are refused rather than wrapped negative.
+	huge := []byte{byte(KindSnapshot), 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	if _, _, err := DecodeSnapshot(huge); err == nil {
+		t.Fatal("out-of-range offset decoded without error")
+	}
 }
