@@ -85,8 +85,7 @@
 // past the damage and restores ingest automatically. Degradation is
 // visible in /healthz, /v1/streams (state/degraded_seconds), /metrics
 // (influtrackd_wal_degraded) and as stream_status events on the push
-// feed. -wal-commit-shards splits the fsync=always group-commit wait
-// queue to relieve wake-up contention at high ingest parallelism.
+// feed.
 //
 // -fault-inject (testing/chaos drills only — never production) routes
 // all WAL file I/O through an in-process fault injector
@@ -248,7 +247,6 @@ func main() {
 	walDir := flag.String("wal-dir", "", "write-ahead log directory (one log per stream): ingest chunks are logged before the 200 OK, checkpoints are snapshots in the same log, and a start recovers every logged stream — exact crash recovery")
 	walFsync := flag.String("wal-fsync", "interval", "WAL fsync policy: always (group-committed fsync before each ack), interval (background fsync every 100ms), none")
 	walSegBytes := flag.Int64("wal-segment-bytes", 64<<20, "WAL segment rotation size; checkpoints truncate fully-covered segments")
-	walCommitShards := flag.Int("wal-commit-shards", 0, "group-commit wait-queue shards for -wal-fsync always (0 = default; relieves wake-up contention at high ingest parallelism)")
 	walRepairBackoff := flag.Duration("wal-repair-backoff", 0, "initial retry interval for the degraded-stream WAL repair loop (0 = default 100ms; doubles up to 50× per retry)")
 	faultInject := flag.Bool("fault-inject", false, "TESTING ONLY: route WAL file I/O through an in-process fault injector and expose /v1/admin/fault for chaos drills; crash rules exit(137)")
 	faultSeed := flag.Int64("fault-seed", 1, "RNG seed for probabilistic fault rules (needs -fault-inject)")
@@ -355,7 +353,6 @@ func main() {
 		WALDir:          *walDir,
 		WALFsync:        *walFsync,
 		WALSegmentBytes: *walSegBytes,
-		WALCommitShards: *walCommitShards,
 		RepairBackoff:   *walRepairBackoff,
 		Notify: notify.Config{
 			JournalSize:      *notifyJournal,

@@ -38,8 +38,8 @@
 // adjacency with copy-on-write cloning (so HISTAPPROX instance creation
 // costs O(nodes/page) instead of O(edges)), and the influence oracle
 // reuses generation-stamped scratch so steady-state BFS evaluations do
-// not allocate. scripts/bench_pr1.sh records the micro-benchmark
-// trajectory into BENCH_PR1.json.
+// not allocate. `go test -run '^$' -bench . ./internal/influence
+// ./internal/core` runs the micro-benchmarks.
 //
 // # Serving
 //
@@ -79,9 +79,9 @@
 // (StreamSpec carries the shard count through checkpoints) and the CLIs
 // (-shards on influtrack and influtrackd) drive it unchanged; sharded
 // runs are deterministic for a fixed shard count, and SaveTracker
-// checkpoints carry every partition's state. BENCH_PR3.json records the
-// payoff: ≥ 7× ingest throughput with 4 shards on the tracker-bound
-// twitter-higgs workload.
+// checkpoints carry every partition's state. `go test -run '^$' -bench
+// 'IngestHTTPSieveHiggs' ./internal/server` measures the payoff on the
+// tracker-bound twitter-higgs workload at 1, 2, 4 and 8 shards.
 //
 // # Notifications
 //
@@ -106,9 +106,8 @@
 // previous incarnation already handed out. Streams can carry a bearer
 // token gating ingest, admin and the events feed (constant-time
 // compare, redacted from listings and checkpoint envelopes).
-// BENCH_PR4.json records the fan-out numbers: sub-millisecond p99
-// publish→deliver latency at 1000 subscribers, with ingest throughput
-// unchanged from the pull-only baseline.
+// `go test -run '^$' -bench Fanout ./internal/notify` measures
+// publish→deliver latency at 1, 100 and 1000 subscribers.
 //
 // # Durability
 //
@@ -139,9 +138,9 @@
 // the policy and only then truncates the log segments it covers — a
 // failed snapshot never advances the truncation point — so the log's
 // footprint stays near one checkpoint interval of traffic; streams idle
-// since their newest snapshot are skipped. BENCH_PR5.json records the
-// ingest cost: fsync=interval within a few percent of the WAL-free
-// baseline.
+// since their newest snapshot are skipped. `go test -run '^$' -bench
+// 'IngestHTTPSieve(WAL.*)?$' ./internal/server` measures the ingest cost
+// of each fsync policy against the WAL-free path.
 //
 // # Resilience
 //
@@ -178,8 +177,9 @@
 // and WAL-replay re-host) whose final ledger check is the durability
 // contract stated operationally: every 200-acked record accounted for
 // after recovery, every 503 carrying Retry-After, every stream healthy
-// at the end. BENCH_PR6.json records the serving figures under
-// -wal-fsync always at 8 concurrent ingesters.
+// at the end. `bash benchmark/run.sh --workload serve-brightkite
+// --seed 1 --seconds 10 --trace 0` measures end-to-end serving under
+// -wal-fsync always.
 //
 // # Observability
 //
@@ -247,8 +247,7 @@
 // lost_acked=0": budgets asserted against the measured report, any
 // breach exiting non-zero, so capacity tests and CI gates are one flag.
 // The retired influtrackd_batch_latency_seconds point gauge is
-// superseded by the worker_batch_seconds summary. BENCH_PR8.json
-// records the introspection overhead (≤ 1% of ingest throughput).
+// superseded by the worker_batch_seconds summary.
 //
 // # Quality auditing
 //
@@ -284,8 +283,7 @@
 // stream replays its WAL or is degraded. influtrack-loadgen scrapes the
 // gauges into its report's "quality" section and gates on them with
 // -slo quality_ratio_min=0.8, so answer quality is a CI objective next
-// to latency and loss. BENCH_PR9.json records the audit overhead on
-// ingest throughput.
+// to latency and loss.
 //
 // # Incident forensics
 //
@@ -328,8 +326,7 @@
 // long runs: per-window latency SLO verdicts with fail-fast on the
 // first breached window, and -subscriber-churn cycles SSE
 // connect/resume/disconnect to keep the notify paths honest under
-// membership turnover. BENCH_PR10.json records the flight-recorder
-// overhead (≤ 1% of ingest throughput).
+// membership turnover.
 //
 // # Quick start
 //

@@ -11,7 +11,7 @@ import (
 // Micro-benchmarks for the two HISTAPPROX hot paths this package owns:
 // instance cloning (Alg. 3 lines 9-16, one per histogram insertion) and
 // the full per-batch Step. Seeded inputs keep numbers comparable across
-// commits; scripts/bench_pr1.sh records them into BENCH_PR1.json.
+// commits (`go test -run '^$' -bench . ./internal/core`).
 
 // benchSieve returns a warm SIEVEADN instance fed m random pairs over n
 // nodes, with live thresholds and non-empty candidate reach sets.

@@ -12,8 +12,8 @@ import (
 // primitives every tracker is built on: MarginalGain (one f_t evaluation
 // per sieve threshold test) and ReachSet.Clone (one per candidate per
 // HISTAPPROX instance clone). They run on a fixed seeded random graph so
-// numbers are comparable across commits; scripts/bench_pr1.sh records
-// them into BENCH_PR1.json.
+// numbers are comparable across commits (`go test -run '^$' -bench .
+// ./internal/influence`).
 
 // benchGraph builds a seeded Erdős–Rényi-style ADN with n nodes and m
 // distinct directed edges.

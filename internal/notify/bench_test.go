@@ -20,9 +20,9 @@ import (
 // cadence, so the interesting number is how long one publish takes to
 // reach the last subscriber, not how deep queues grow when a synthetic
 // loop deliberately overruns every drain goroutine. The custom metrics
-// are what scripts/bench_pr4.sh records into BENCH_PR4.json: p50/p99
-// publish→deliver latency across every (event, subscriber) delivery, and
-// aggregate delivered events/sec.
+// are p50/p99 publish→deliver latency across every (event, subscriber)
+// delivery, and aggregate delivered events/sec (`go test -run '^$'
+// -bench Fanout ./internal/notify`).
 func benchmarkFanout(b *testing.B, nSubs int) {
 	h := NewHub(Config{SubscriberBuffer: 1 << 14, KeyframeEvery: 1 << 30})
 	h.Publish("s", TopK{Entries: []Entry{{ID: 0}, {ID: 1}}}) // genesis keyframe

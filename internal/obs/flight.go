@@ -57,10 +57,10 @@ type FlightEvent struct {
 // receiver, so call sites need no branching when the recorder is
 // disabled.
 type Flight struct {
-	seq      atomic.Uint64 // last assigned sequence number
 	recorded atomic.Uint64 // total events ever recorded
 	evicted  atomic.Uint64 // events overwritten by ring wraparound
 	mu       sync.Mutex
+	seq      uint64 // last assigned sequence number, taken with the slot so ring order is Seq order
 	ring     []FlightEvent
 	next     int  // ring slot the next event lands in
 	wrapped  bool // ring has overwritten at least one event
@@ -87,7 +87,6 @@ func (f *Flight) Record(kind, stream, cause, errno string, attrs ...string) uint
 		return 0
 	}
 	ev := FlightEvent{
-		Seq:    f.seq.Add(1),
 		Time:   f.clock(),
 		Kind:   kind,
 		Stream: stream,
@@ -105,6 +104,8 @@ func (f *Flight) Record(kind, stream, cause, errno string, attrs ...string) uint
 	if f.wrapped {
 		f.evicted.Add(1)
 	}
+	f.seq++
+	ev.Seq = f.seq
 	f.ring[f.next] = ev
 	f.next++
 	if f.next == len(f.ring) {

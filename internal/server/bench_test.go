@@ -34,8 +34,8 @@ func benchPayload(b *testing.B, dataset string, n int64) string {
 // feed, including waiting for the worker to fully process every record.
 // Each iteration ingests the payload into a fresh server, so the cost is
 // bounded and iterations are comparable. The custom metric
-// interactions/sec is what scripts/bench_pr2.sh records into
-// BENCH_PR2.json.
+// interactions/sec is the headline: `go test -run '^$' -bench
+// IngestHTTP ./internal/server` prints it for every variant.
 func benchmarkIngestHTTP(b *testing.B, tracker tdnstream.TrackerSpec, lifetime tdnstream.LifetimeSpec, payload string, rows uint64) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -218,8 +218,8 @@ func BenchmarkIngestHTTPHistApprox(b *testing.B) {
 // benchmarkIngestHTTPWAL is benchmarkIngestHTTP with the write-ahead
 // log on the ingest path: every chunk is framed, CRC'd and written
 // before its 200, and (policy "always") group-commit fsynced. This is
-// the PR-5 acceptance family — fsync=interval must keep ≥ 0.85× of the
-// BENCH_PR4 subscriber-free sieve throughput, because the log costs one
+// the PR-5 acceptance family — fsync=interval must keep ≥ 0.85× of
+// BenchmarkIngestHTTPSieve's throughput, because the log costs one
 // buffered-free write(2) per ~MaxChunk records and the fsyncs ride a
 // background interval, not the ack path.
 func benchmarkIngestHTTPWAL(b *testing.B, fsync string, payload string, rows uint64) {

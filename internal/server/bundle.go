@@ -269,7 +269,6 @@ func (s *Server) redactedConfig() map[string]any {
 		"wal_fsync":             c.WALFsync,
 		"wal_fsync_interval":    c.WALFsyncInterval.String(),
 		"wal_segment_bytes":     c.WALSegmentBytes,
-		"wal_commit_shards":     c.WALCommitShards,
 		"repair_backoff":        c.RepairBackoff.String(),
 		"repair_backoff_max":    c.RepairBackoffMax.String(),
 		"tracing_disabled":      c.DisableTracing,

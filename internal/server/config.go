@@ -179,10 +179,6 @@ type Config struct {
 	// MiB); snapshot-covered history is truncated whole segments at a
 	// time.
 	WALSegmentBytes int64
-	// WALCommitShards splits the FsyncAlways group-commit wait queue
-	// across this many shards (see wal.Options.CommitShards). 0 picks
-	// min(GOMAXPROCS, 16); 1 restores a single queue.
-	WALCommitShards int
 	// FS is the filesystem seam the write-ahead logs go through (nil =
 	// the real OS). Fault-injection tests install a
 	// fault.Injector here; when FS is nil but Fault is set, Fault is

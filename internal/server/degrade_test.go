@@ -1,9 +1,12 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"syscall"
@@ -147,6 +150,68 @@ func TestDegradedLifecycle(t *testing.T) {
 	}
 	if statuses[1].Status != StateHealthy {
 		t.Fatalf("second status event = %+v, want healthy", statuses[1])
+	}
+}
+
+// TestSnapshotOnlyLogDegradeVisible: a wal=off stream under WALDir
+// keeps a log for its snapshots, and a failed snapshot degrades it. The
+// per-log WAL rows and the wal health component must show the fault
+// and the repair, as they do for a stream that logs its chunks.
+func TestSnapshotOnlyLogDegradeVisible(t *testing.T) {
+	spec := testSpec("plain")
+	spec.WAL = WALOff
+	inj := fault.NewInjector(nil, 1)
+	s, ts := newTestServer(t, Config{
+		WALDir:           t.TempDir(),
+		Fault:            inj,
+		RepairBackoff:    2 * time.Millisecond,
+		RepairBackoffMax: 20 * time.Millisecond,
+		Streams:          []StreamSpec{spec},
+	})
+	wk, _ := s.stream("plain")
+	if code, body := post(t, ts.URL+"/v1/ingest?stream=plain", ctNDJSON, ndjsonBody(t, walRows(50, 1))); code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", code, body)
+	}
+	waitProcessed(t, wk, 50)
+	sample := func(family, key, value string) float64 {
+		t.Helper()
+		if f := famOf(scrape(t, ts.URL), family); f != nil {
+			for _, smp := range f.Samples {
+				if smp.Labels[key] == value {
+					return smp.Value
+				}
+			}
+		}
+		t.Fatalf("no %s{%s=%q} row on /metrics", family, key, value)
+		return 0
+	}
+
+	// The snapshot's write fails; failing segment creation too keeps
+	// Repair from rotating past the fault until it clears.
+	seg := filepath.Join("plain", "seg-")
+	inj.Add(fault.Rule{Op: fault.OpWrite, Path: seg, Err: syscall.EIO})
+	inj.Add(fault.Rule{Op: fault.OpOpen, Path: seg, Err: syscall.EIO})
+	if err := s.CheckpointAll(context.Background()); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("CheckpointAll = %v, want the write failure", err)
+	}
+	waitState(t, wk, StateDegraded)
+	if code, _ := post(t, ts.URL+"/v1/ingest?stream=plain", ctNDJSON, ndjsonBody(t, walRows(5, 100))); code != http.StatusServiceUnavailable {
+		t.Fatalf("degraded ingest: status %d, want 503", code)
+	}
+	if got := sample("influtrackd_wal_degraded", "stream", "plain"); got != 1 {
+		t.Fatalf("wal_degraded = %g while degraded, want 1", got)
+	}
+	if got := sample("influtrackd_health_component", "component", "wal"); got >= 1 {
+		t.Fatalf("wal health component = %g while degraded, want < 1", got)
+	}
+
+	inj.Clear()
+	waitState(t, wk, StateHealthy)
+	if got := sample("influtrackd_wal_degraded", "stream", "plain"); got != 0 {
+		t.Fatalf("wal_degraded = %g after repair, want 0", got)
+	}
+	if got := sample("influtrackd_wal_repairs_total", "stream", "plain"); got != 1 {
+		t.Fatalf("wal_repairs_total = %g after repair, want 1", got)
 	}
 }
 

@@ -18,7 +18,7 @@ var healthComponentOrder = []string{
 
 // healthComponents computes the composite score and its breakdown:
 //
-//	wal              fraction of WAL-enabled streams not degraded
+//	wal              fraction of streams with a log not degraded
 //	queue_headroom   worst-stream 1 − queue_depth/queue_capacity
 //	audit_floor      worst audited quality_ratio over AuditFloor, capped
 //	                 at 1 (1 when no floor is configured)
@@ -45,7 +45,7 @@ func (s *Server) healthComponents() (float64, map[string]float64) {
 		if w.degraded.Load() {
 			degraded++
 		}
-		if w.logChunks {
+		if w.wlog != nil {
 			walStreams++
 			if w.degraded.Load() {
 				walDegraded++

@@ -323,30 +323,30 @@ func (s *Server) writeMetrics(w io.Writer) {
 		}
 	}
 
-	// Write-ahead-log surface: rows only for WAL-enabled streams, so a
-	// scrape can tell "no WAL" from "WAL with zero traffic". One Stats
-	// snapshot per stream: the three log gauges come from the same
-	// instant and the append path's mutex is taken once, not thrice.
+	// Write-ahead-log surface. The per-log rows cover every stream with
+	// a log: a wal=off stream under WALDir keeps one for its snapshots,
+	// and a failed snapshot degrades it like an ingest fault. The chunk
+	// rows cover only streams that log their chunks, so a scrape can
+	// tell "chunks not logged" from "logged, zero traffic". One Stats
+	// snapshot per stream: the log gauges come from the same instant
+	// and the append path's mutex is taken once, not four times.
 	type walRow struct {
 		name string
 		w    *worker
 		st   wal.Stats
 	}
-	var walRows []walRow
+	var walRows, chunkRows []walRow
 	for _, r := range rows {
+		if r.w.wlog == nil {
+			continue
+		}
+		row := walRow{r.name, r.w, r.w.wlog.Stats()}
+		walRows = append(walRows, row)
 		if r.w.logChunks {
-			walRows = append(walRows, walRow{r.name, r.w, r.w.wlog.Stats()})
+			chunkRows = append(chunkRows, row)
 		}
 	}
 	if len(walRows) > 0 {
-		counter("wal_appended_records_total", "Records appended to the write-ahead log before their ingest ack.")
-		for _, r := range walRows {
-			p("influtrackd_wal_appended_records_total{stream=%q} %d\n", r.name, r.w.m.walAppended.Load())
-		}
-		counter("wal_replayed_records_total", "Records rebuilt from the write-ahead log by crash recovery at startup.")
-		for _, r := range walRows {
-			p("influtrackd_wal_replayed_records_total{stream=%q} %d\n", r.name, r.w.m.walReplayed.Load())
-		}
 		counter("wal_fsyncs_total", "fsync(2) calls issued by the write-ahead log (group commit batches concurrent ingests into one).")
 		for _, r := range walRows {
 			p("influtrackd_wal_fsyncs_total{stream=%q} %d\n", r.name, r.st.Fsyncs)
@@ -363,14 +363,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		for _, r := range walRows {
 			p("influtrackd_wal_segments{stream=%q} %d\n", r.name, r.st.Segments)
 		}
-		gauge("wal_applied_segment", "Segment index of the apply watermark: the log position through which acknowledged chunks reached the tracker.")
-		for _, r := range walRows {
-			p("influtrackd_wal_applied_segment{stream=%q} %d\n", r.name, r.w.walAppliedSeg.Load())
-		}
-		gauge("wal_applied_offset", "Byte offset within the watermark segment; with wal_applied_segment it bounds replay after a crash.")
-		for _, r := range walRows {
-			p("influtrackd_wal_applied_offset{stream=%q} %d\n", r.name, r.w.walAppliedOff.Load())
-		}
 		gauge("wal_degraded", "1 while the stream's write-ahead log is faulted and under background repair (ingest answers 503), 0 when healthy.")
 		for _, r := range walRows {
 			v := 0
@@ -383,8 +375,26 @@ func (s *Server) writeMetrics(w io.Writer) {
 		for _, r := range walRows {
 			p("influtrackd_wal_repairs_total{stream=%q} %d\n", r.name, r.w.m.walRepairs.Load())
 		}
+	}
+	if len(chunkRows) > 0 {
+		counter("wal_appended_records_total", "Records appended to the write-ahead log before their ingest ack.")
+		for _, r := range chunkRows {
+			p("influtrackd_wal_appended_records_total{stream=%q} %d\n", r.name, r.w.m.walAppended.Load())
+		}
+		counter("wal_replayed_records_total", "Records rebuilt from the write-ahead log by crash recovery at startup.")
+		for _, r := range chunkRows {
+			p("influtrackd_wal_replayed_records_total{stream=%q} %d\n", r.name, r.w.m.walReplayed.Load())
+		}
+		gauge("wal_applied_segment", "Segment index of the apply watermark: the log position through which acknowledged chunks reached the tracker.")
+		for _, r := range chunkRows {
+			p("influtrackd_wal_applied_segment{stream=%q} %d\n", r.name, r.w.walAppliedSeg.Load())
+		}
+		gauge("wal_applied_offset", "Byte offset within the watermark segment; with wal_applied_segment it bounds replay after a crash.")
+		for _, r := range chunkRows {
+			p("influtrackd_wal_applied_offset{stream=%q} %d\n", r.name, r.w.walAppliedOff.Load())
+		}
 		summaryHead("wal_commit_seconds", "Group-commit wait per ingest request (wal.Commit — the fsync the ack waits for under -wal-fsync always).")
-		for _, r := range walRows {
+		for _, r := range chunkRows {
 			summaryRow("wal_commit_seconds", r.name, &r.w.m.walCommitLat)
 		}
 	}

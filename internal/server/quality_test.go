@@ -14,8 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"tdnstream"
 	"tdnstream/internal/audit"
+	"tdnstream/internal/datasets"
 	"tdnstream/internal/notify"
+	"tdnstream/internal/stream"
 )
 
 // syncBuffer is a mutex-guarded bytes.Buffer: worker goroutines log
@@ -165,6 +168,59 @@ func TestQualityEndpoint(t *testing.T) {
 				t.Errorf("quality_ratio gauge %g != deep report %g", smp.Value, solo.Latest.QualityRatio)
 			}
 		}
+	}
+}
+
+// TestBrightkiteQualityFloor runs the paper's quality check through the
+// daemon: a 2-shard SieveADN stream over synthetic brightkite, audited
+// on demand against an exact reference greedy (the budget never runs
+// out), must serve at least 0.8 of the greedy value, and its merge-gap
+// ratio must be finite, positive and the same on /metrics as in the
+// report.
+func TestBrightkiteQualityFloor(t *testing.T) {
+	const steps = 4000
+	in, err := datasets.Generate("brightkite", steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv strings.Builder
+	if err := stream.WriteCSV(&csv, in, nil); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{
+		AuditBudget: 2_000_000,
+		Streams: []StreamSpec{{
+			Name:     "brightkite",
+			Tracker:  tdnstream.TrackerSpec{Algo: "sieveadn", K: 10, Eps: 0.2, Shards: 2, Seed: 7},
+			Lifetime: tdnstream.LifetimeSpec{Policy: "constant", Window: 100000, Seed: 7},
+		}},
+	})
+	if code, body := post(t, ts.URL+"/v1/ingest?stream=brightkite", ctCSV, csv.String()); code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", code, body)
+	}
+	wk, _ := s.stream("brightkite")
+	waitProcessed(t, wk, steps)
+
+	rep := getQuality(t, ts.URL, "brightkite").Latest
+	if rep == nil || rep.MergeGap == nil {
+		t.Fatalf("audit report lacks the merge-gap section: %+v", rep)
+	}
+	if rep.QualityRatio < 0.8 {
+		t.Errorf("quality_ratio %g under the 0.8 floor (served %d, reference %d)",
+			rep.QualityRatio, rep.ServedValue, rep.ReferenceValue)
+	}
+	gap := rep.MergeGap.Ratio
+	t.Logf("quality_ratio %g (served %d, reference %d, %d oracle calls), merge gap ratio %g",
+		rep.QualityRatio, rep.ServedValue, rep.ReferenceValue, rep.OracleCalls, gap)
+	if gap <= 0 || math.IsInf(gap, 0) || math.IsNaN(gap) {
+		t.Errorf("merge gap ratio %g, want finite and > 0", gap)
+	}
+	f := famOf(scrape(t, ts.URL), "influtrackd_merge_gap_ratio")
+	if f == nil || len(f.Samples) != 1 {
+		t.Fatalf("merge_gap_ratio gauge: %+v", f)
+	}
+	if got := f.Samples[0].Value; math.Abs(got-gap) > 1e-9 {
+		t.Errorf("merge_gap_ratio gauge %g != report %g", got, gap)
 	}
 }
 

@@ -270,7 +270,6 @@ func newWorker(spec StreamSpec, cfg Config, hub *notify.Hub, from *checkpointEnv
 			Fsync:        cfg.WALFsync,
 			FsyncEvery:   cfg.WALFsyncInterval,
 			SegmentBytes: cfg.WALSegmentBytes,
-			CommitShards: cfg.WALCommitShards,
 			FS:           cfg.fs(),
 		})
 		if err != nil {

@@ -181,6 +181,89 @@ func TestFsyncEIONeverAcksLostRecord(t *testing.T) {
 	}
 }
 
+// TestCommitThroughRepairs runs concurrent committers through random
+// fsync faults and the repairs that heal them, on a log small enough to
+// rotate: whatever interleaving of leader rounds, poison, fencing and
+// rotation the schedule produces, every record whose Commit returned
+// nil replays.
+func TestCommitThroughRepairs(t *testing.T) {
+	dir := t.TempDir()
+	inj := fault.NewInjector(nil, 7)
+	inj.Add(fault.Rule{Op: fault.OpSync, Path: "seg-", Prob: 0.2, Err: syscall.EIO})
+	l, err := Open(dir, Options{Fsync: FsyncAlways, FS: inj, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := make(chan struct{}, 1)
+	stop := make(chan struct{})
+	repaired := make(chan int)
+	go func() {
+		repairs := 0
+		for {
+			select {
+			case <-stop:
+				repaired <- repairs
+				return
+			case <-faulted:
+				if l.Repair() == nil {
+					repairs++
+				}
+			}
+		}
+	}()
+	const workers, per = 16, 40
+	var mu sync.Mutex
+	acked := map[string]bool{}
+	failed := 0
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				p := []byte(fmt.Sprintf("w%02d-r%03d", w, i))
+				_, tok, err := l.Append(p)
+				if err == nil {
+					err = l.Commit(tok)
+				}
+				mu.Lock()
+				if err == nil {
+					acked[string(p)] = true
+				} else {
+					failed++
+				}
+				mu.Unlock()
+				if err != nil {
+					select {
+					case faulted <- struct{}{}:
+					default:
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	repairs := <-repaired
+	if failed == 0 || repairs == 0 || len(acked) == 0 {
+		t.Fatalf("schedule too tame: %d failed commits, %d repairs, %d acks", failed, repairs, len(acked))
+	}
+	if st := l.Stats(); st.Segments < 2 {
+		t.Fatalf("log never rotated: %+v", st)
+	}
+	inj.Clear()
+	l.Close() // may report the sticky fault; replay is the oracle
+	replayed := map[string]bool{}
+	for _, p := range replayAll(t, dir) {
+		replayed[string(p)] = true
+	}
+	for p := range acked {
+		if !replayed[p] {
+			t.Fatalf("record %q was acked by Commit but lost on replay", p)
+		}
+	}
+}
+
 // TestRepairAfterFsyncEIO drives the full degradation arc: a failed
 // fsync poisons the log, Repair rotates past the poisoned handle, new
 // appends commit cleanly, and the fenced tokens keep failing — no
@@ -321,55 +404,54 @@ func TestRepairWhileFaultPersists(t *testing.T) {
 	}
 }
 
-// TestCommitShardsConcurrent exercises the sharded group-commit queue
-// at several shard counts: every commit must succeed and every record
-// must replay.
+// TestCommitShardsConcurrent drives the group-commit queue from many
+// goroutines: every commit must succeed, the log must issue no more
+// fsyncs than appends, and every record must replay. The log has one
+// commit queue; the subtest keeps the name of that single-shard case.
 func TestCommitShardsConcurrent(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-			l, err := Open(dir, Options{Fsync: FsyncAlways, CommitShards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const workers, per = 8, 25
-			var wg sync.WaitGroup
-			errs := make(chan error, workers*per)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						_, tok, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i)))
-						if err != nil {
-							errs <- err
-							return
-						}
-						if err := l.Commit(tok); err != nil {
-							errs <- err
-							return
-						}
+	t.Run("shards=1", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{Fsync: FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const workers, per = 8, 25
+		var wg sync.WaitGroup
+		errs := make(chan error, workers*per)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					_, tok, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i)))
+					if err != nil {
+						errs <- err
+						return
 					}
-				}(w)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatalf("commit: %v", err)
-			}
-			st := l.Stats()
-			if st.Appends != workers*per {
-				t.Fatalf("%d appends, want %d", st.Appends, workers*per)
-			}
-			if st.Fsyncs == 0 || st.Fsyncs > st.Appends {
-				t.Fatalf("fsyncs=%d outside (0, %d]: group commit broken?", st.Fsyncs, st.Appends)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := replayAll(t, dir); len(got) != workers*per {
-				t.Fatalf("replayed %d, want %d", len(got), workers*per)
-			}
-		})
-	}
+					if err := l.Commit(tok); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("commit: %v", err)
+		}
+		st := l.Stats()
+		if st.Appends != workers*per {
+			t.Fatalf("%d appends, want %d", st.Appends, workers*per)
+		}
+		if st.Fsyncs == 0 || st.Fsyncs > st.Appends {
+			t.Fatalf("fsyncs=%d outside (0, %d]: group commit broken?", st.Fsyncs, st.Appends)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := replayAll(t, dir); len(got) != workers*per {
+			t.Fatalf("replayed %d, want %d", len(got), workers*per)
+		}
+	})
 }

@@ -64,7 +64,6 @@ type Log struct {
 	synced  uint64 // appends proven durable
 	syncing bool   // a leader fsync is in flight
 	syncErr error  // sticky: a failed fsync poisons durability claims
-	sv      uint64 // state version: bumped on every sync-state mutation
 	fsyncs  uint64
 	// fsyncNanos is cumulative wall time inside leader fsync rounds —
 	// pure device time, no queue wait. Against the per-request commit
@@ -81,12 +80,6 @@ type Log struct {
 	fence    uint64
 	fenceErr error
 
-	// shards are the FsyncAlways commit wait queues (satellite of the
-	// group-commit design): waiters park per shard and only shard
-	// leaders contend on the global cond, so an fsync completion wakes
-	// O(shards) goroutines instead of every committer in flight.
-	shards []commitShard
-
 	stop chan struct{} // interval-fsync goroutine shutdown
 	done chan struct{}
 
@@ -95,27 +88,6 @@ type Log struct {
 	// Close — or by the kernel when the process dies, which is the
 	// point: a crashed owner never blocks its own recovery.
 	lockf *os.File
-}
-
-// syncState is the group-commit state a shard mirrors. sv orders
-// snapshots so a slow push can never roll a shard's view backwards.
-type syncState struct {
-	synced   uint64
-	err      error
-	sv       uint64
-	fence    uint64
-	fenceErr error
-}
-
-// commitShard is one FsyncAlways wait queue. Waiters for token t park
-// on shard t%N; the first waiter to find no shard leader becomes one
-// and runs the global syncThrough on the shard's behalf.
-type commitShard struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	leading bool
-	want    uint64 // highest token a waiter in this shard awaits
-	st      syncState
 }
 
 // Open opens (or creates) the log in dir. An existing log is validated:
@@ -132,12 +104,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l.cond = sync.NewCond(&l.sm)
-	if opts.Fsync == FsyncAlways {
-		l.shards = make([]commitShard, opts.CommitShards)
-		for i := range l.shards {
-			l.shards[i].cond = sync.NewCond(&l.shards[i].mu)
-		}
-	}
 	if l.lockf, err = lockDir(dir); err != nil {
 		return nil, err
 	}
@@ -352,60 +318,36 @@ func (l *Log) rotateLocked() error {
 // background loop carries those), after an fsync for FsyncAlways.
 // Concurrent FsyncAlways committers share fsyncs — one leader syncs for
 // every append that landed before it, the group-commit batching that
-// keeps per-request durability affordable. Committers wait on per-shard
-// queues (token mod CommitShards); only shard leaders contend on the
-// global fsync round, so a completed fsync wakes a handful of shard
-// leaders instead of every waiting request.
+// keeps per-request durability affordable.
 func (l *Log) Commit(t Token) error {
+	seq := uint64(t)
 	if l.opts.Fsync != FsyncAlways {
 		l.sm.Lock()
 		defer l.sm.Unlock()
 		if l.syncErr != nil {
 			return l.syncErr
 		}
-		if uint64(t) <= l.fence {
+		if seq <= l.fence {
 			return l.fenceErr
 		}
 		return nil
 	}
-	seq := uint64(t)
-	s := &l.shards[seq%uint64(len(l.shards))]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq > s.want {
-		s.want = seq
+	err := l.syncThrough(seq)
+	// The fence is checked here, after the wait, not in syncThrough:
+	// Sync right after Repair must succeed (it is the repair's
+	// durability probe), yet a committer parked since before the Repair
+	// can lead the first round after it, fsync only the fresh segment
+	// and see synced ≥ seq for a record the abandoned handle may never
+	// have written back.
+	l.sm.Lock()
+	defer l.sm.Unlock()
+	if seq <= l.fence {
+		return l.fenceErr
 	}
-	for {
-		if seq <= s.st.fence {
-			return s.st.fenceErr
-		}
-		if s.st.err != nil {
-			return s.st.err
-		}
-		if s.st.synced >= seq {
-			return nil
-		}
-		if s.leading {
-			s.cond.Wait()
-			continue
-		}
-		// Lead the shard: run one global sync round for the highest
-		// token parked here, then publish the resulting state to the
-		// shard and loop to re-examine it.
-		s.leading = true
-		want := s.want
-		s.mu.Unlock()
-		_ = l.syncThrough(want) // the loop re-reads the outcome from state
-		l.sm.Lock()
-		st := l.syncStateLocked()
-		l.sm.Unlock()
-		s.mu.Lock()
-		s.leading = false
-		if st.sv > s.st.sv {
-			s.st = st
-		}
-		s.cond.Broadcast()
+	if err != nil {
+		return err
 	}
+	return l.syncErr
 }
 
 // Sync fsyncs every frame appended so far, whatever the fsync policy:
@@ -422,40 +364,13 @@ func (l *Log) Sync() error {
 	return l.syncThrough(target)
 }
 
-// syncStateLocked snapshots the group-commit state. Callers hold sm.
-func (l *Log) syncStateLocked() syncState {
-	return syncState{
-		synced: l.synced, err: l.syncErr, sv: l.sv,
-		fence: l.fence, fenceErr: l.fenceErr,
-	}
-}
-
-// mutateSync applies fn to the group-commit state under sm, bumps the
-// state version, and wakes every waiter — the global cond and each
-// commit shard. Callers may hold mu; never sm or a shard lock.
+// mutateSync applies fn to the group-commit state under sm and wakes
+// every parked committer. Callers may hold mu; never sm.
 func (l *Log) mutateSync(fn func()) {
 	l.sm.Lock()
+	defer l.sm.Unlock()
 	fn()
-	l.sv++
 	l.cond.Broadcast()
-	st := l.syncStateLocked()
-	l.sm.Unlock()
-	l.pushShards(st)
-}
-
-// pushShards publishes a sync-state snapshot to every commit shard and
-// wakes their waiters. Stale snapshots (a slower writer racing a newer
-// one) are dropped by the version check.
-func (l *Log) pushShards(st syncState) {
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		if st.sv > s.st.sv {
-			s.st = st
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
 }
 
 // syncThrough blocks until appends ≤ seq are fsynced, electing one
@@ -518,7 +433,6 @@ func (l *Log) syncThrough(seq uint64) error {
 		l.syncing = false
 		l.fsyncs += syncs
 		l.fsyncNanos += uint64(syncD.Nanoseconds())
-		l.sv++
 		if err != nil {
 			if l.syncErr == nil {
 				l.syncErr = fmt.Errorf("wal: fsync: %w", err)
@@ -527,10 +441,6 @@ func (l *Log) syncThrough(seq uint64) error {
 			l.synced = target
 		}
 		l.cond.Broadcast()
-		st := l.syncStateLocked()
-		l.sm.Unlock()
-		l.pushShards(st)
-		l.sm.Lock()
 	}
 }
 

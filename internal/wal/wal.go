@@ -60,7 +60,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"runtime"
 	"time"
 
 	"tdnstream/internal/fault"
@@ -100,13 +99,6 @@ type Options struct {
 	// (default the real OS). Fault-injection tests and chaos runs pass
 	// a fault.Injector here; production pays only an interface call.
 	FS fault.FS
-	// CommitShards splits FsyncAlways commit waiters across this many
-	// wait queues (shard = token mod CommitShards): waiters park per
-	// shard and only shard leaders contend on the global fsync round,
-	// cutting the single-condition-variable wakeup storm under many
-	// concurrent ingesters. 0 picks min(GOMAXPROCS, 16); 1 restores a
-	// single queue. Ignored unless Fsync is FsyncAlways.
-	CommitShards int
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -125,15 +117,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.FS == nil {
 		o.FS = fault.OS()
-	}
-	if o.CommitShards < 0 {
-		return o, fmt.Errorf("wal: negative CommitShards %d", o.CommitShards)
-	}
-	if o.CommitShards == 0 {
-		o.CommitShards = runtime.GOMAXPROCS(0)
-		if o.CommitShards > 16 {
-			o.CommitShards = 16
-		}
 	}
 	return o, nil
 }
