@@ -48,7 +48,6 @@ func main() {
 	window := flag.Int("window", 0, "use a sliding window of this width instead of geometric decay")
 	seed := flag.Int64("seed", 42, "random seed (lifetimes, randomized algorithms)")
 	report := flag.Int64("report", 500, "print the solution every this many steps")
-	workers := flag.Int("parallel", 0, "parallel sieve workers (0 = serial; sieve-based algorithms only)")
 	shards := flag.Int("shards", 0, "≥ 2 partitions the stream by source-node hash across this many tracker instances with a global top-k merge")
 	flag.Parse()
 
@@ -62,7 +61,7 @@ func main() {
 		}
 	})
 	tracker, err := tdnstream.TrackerSpec{
-		Algo: *algo, K: *k, Eps: specEps, L: *L, Seed: *seed, Workers: *workers, Shards: *shards,
+		Algo: *algo, K: *k, Eps: specEps, L: *L, Seed: *seed, Shards: *shards,
 	}.New()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "influtrack: %v\n", err)

@@ -9,7 +9,7 @@
 //	algo=histapprox      sieveadn | basicreduction | histapprox | histapprox-refined |
 //	                     greedy | random | dim | imm | timplus
 //	k=10 eps=0.1 L=1000  tracker parameters (L required for the reduction family)
-//	beta=32 workers=0    dim fanout / parallel sieve workers
+//	beta=32              dim sketch fanout
 //	shards=0             ≥ 2 partitions the stream by source-node hash across
 //	                     that many tracker instances with a global top-k merge
 //	                     (the -shards flag sets a default for every stream)
@@ -194,8 +194,6 @@ func parseStreamSpec(arg string) (server.StreamSpec, error) {
 			spec.Lifetime.L = spec.Tracker.L
 		case "beta":
 			spec.Tracker.Beta, err = toInt()
-		case "workers", "parallel":
-			spec.Tracker.Workers, err = toInt()
 		case "shards":
 			spec.Tracker.Shards, err = toInt()
 		case "lifetime":

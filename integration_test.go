@@ -22,8 +22,14 @@ func TestIntegrationAllTrackersAllDatasets(t *testing.T) {
 		"basicreduction": func() tdnstream.Tracker { return tdnstream.NewBasicReduction(k, 0.2, 40) },
 		"histapprox":     func() tdnstream.Tracker { return tdnstream.NewHistApprox(k, 0.2, 40) },
 		"histrefined":    func() tdnstream.Tracker { return tdnstream.NewHistApproxRefined(k, 0.2, 40) },
+		// HistApprox over two source-hash partitions, which shard.Engine
+		// steps concurrently.
 		"parallel-hist": func() tdnstream.Tracker {
-			return tdnstream.WithParallelSieve(tdnstream.NewHistApprox(k, 0.2, 40), 3)
+			tr, err := tdnstream.TrackerSpec{Algo: "histapprox", K: k, Eps: 0.2, L: 40, Shards: 2}.New()
+			if err != nil {
+				panic(err) // the spec is a constant
+			}
+			return tr
 		},
 		"greedy": func() tdnstream.Tracker { return tdnstream.NewGreedy(k) },
 		"random": func() tdnstream.Tracker { return tdnstream.NewRandom(k, 1) },

@@ -27,22 +27,8 @@ type BasicReduction struct {
 	begun bool
 	insts map[int64]*Sieve // deadline -> instance
 
-	workers int // parallel candidate loop for all instances (0 = serial)
-
 	scratch []stream.Edge // lifetime-sorted batch, reused
 }
-
-// SetParallel turns the parallel candidate loop on (workers ≥ 2) or off
-// for every current and future sieve instance.
-func (b *BasicReduction) SetParallel(workers int) {
-	b.workers = workers
-	for _, inst := range b.insts {
-		inst.SetParallel(workers)
-	}
-}
-
-// Parallel reports the configured worker count (0 = serial).
-func (b *BasicReduction) Parallel() int { return b.workers }
 
 // NewBasicReduction returns a BASICREDUCTION tracker with budget k, sieve
 // granularity eps and maximum lifetime L ≥ 1. Edges with longer assigned
@@ -77,11 +63,7 @@ func (b *BasicReduction) Step(t int64, edges []stream.Edge) error {
 	}
 	for d := t + 1; d <= t+int64(b.L); d++ {
 		if _, ok := b.insts[d]; !ok {
-			inst := NewSieve(b.k, b.eps, b.calls)
-			if b.workers >= 2 {
-				inst.SetParallel(b.workers)
-			}
-			b.insts[d] = inst
+			b.insts[d] = NewSieve(b.k, b.eps, b.calls)
 		}
 	}
 

@@ -46,8 +46,6 @@ type HistApprox struct {
 	// lifetime (not instances that merely reached their deadline).
 	kills uint64
 
-	workers int // parallel candidate loop for all instances (0 = serial)
-
 	// Per-lifetime batch grouping scratch. The map is keyed afresh each
 	// step (lifetime classes vary batch to batch), so retired group slices
 	// park on groupPool and are handed back to whichever classes the next
@@ -56,18 +54,6 @@ type HistApprox struct {
 	groupPool [][]stream.Edge
 	lifetimes []int // sorted lifetime classes of the current batch, reused
 }
-
-// SetParallel turns the parallel candidate loop on (workers ≥ 2) or off
-// for every current and future sieve instance.
-func (h *HistApprox) SetParallel(workers int) {
-	h.workers = workers
-	for _, inst := range h.insts {
-		inst.SetParallel(workers)
-	}
-}
-
-// Parallel reports the configured worker count (0 = serial).
-func (h *HistApprox) Parallel() int { return h.workers }
 
 // NewHistApprox returns a HISTAPPROX tracker with budget k, granularity
 // eps (used both for the sieve thresholds and for histogram redundancy)
@@ -194,15 +180,9 @@ func (h *HistApprox) createInstance(d int64) {
 	var inst *Sieve
 	if succIdx == len(h.xs) {
 		inst = NewSieve(h.k, h.eps, h.calls)
-		if h.workers >= 2 {
-			inst.SetParallel(h.workers)
-		}
 	} else {
 		succ := h.xs[succIdx]
 		inst = h.insts[succ].Clone()
-		if h.workers >= 2 {
-			inst.SetParallel(h.workers)
-		}
 		var backlog []Pair
 		h.store.ForEachEdgeExpiringIn(d, succ, func(e stream.Edge) {
 			backlog = append(backlog, Pair{e.Src, e.Dst})

@@ -43,10 +43,6 @@ type Sieve struct {
 	// window) instead of being re-snapshotted every batch.
 	candList   []*sieveCand
 	candsDirty bool
-
-	// parallel candidate loop (see parallel.go); 0 = serial.
-	workers       int
-	workerOracles []*influence.Oracle
 }
 
 type sieveCand struct {
@@ -175,18 +171,36 @@ func (s *Sieve) Feed(batch []Pair) {
 	}
 	s.refreshThresholds()
 
-	// Lines 8-11: sieve each affected node through every threshold,
-	// optionally fanning the candidate loop out to workers (parallel.go).
+	// Lines 8-11: sieve each affected node through every threshold. The
+	// loop is serial on purpose: a node's work is at most |Θ| cheap
+	// MarginalGain calls, below the cost of a goroutine fan-out, and
+	// shard.Engine is the intra-stream parallelism.
 	cands := s.candidates()
 	for i, v := range affected {
-		n := nodeWithSingleton{v: v, sv: float64(s.singles[i])}
-		if s.workers >= 2 {
-			s.sieveNodeParallel(n, cands)
-			continue
-		}
+		sv := float64(s.singles[i])
 		for _, c := range cands {
-			s.testCandidate(s.oracle, c, n)
+			s.testCandidate(c, v, sv)
 		}
+	}
+}
+
+// testCandidate applies Alg. 1 lines 9-11 for one (candidate, node) pair;
+// sv is f({v}), the submodular screen bound on δ_S(v).
+func (s *Sieve) testCandidate(c *sieveCand, v ids.NodeID, sv float64) {
+	if len(c.members) >= s.k {
+		return
+	}
+	if _, in := c.inSet[v]; in {
+		return
+	}
+	θ := s.threshold(c.exp)
+	if sv < θ {
+		return // upper bound rules the test out: δ ≤ f({v}) < θ
+	}
+	if float64(s.oracle.MarginalGain(c.reach, v, false)) >= θ {
+		s.oracle.MarginalGain(c.reach, v, true)
+		c.members = append(c.members, v)
+		c.inSet[v] = struct{}{}
 	}
 }
 

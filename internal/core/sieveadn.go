@@ -55,9 +55,3 @@ func (s *SieveADN) Now() int64 { return s.t }
 // addition-only graph (every edge lives forever in the ADN model) — for
 // external oracle evaluations (the shard merge layer).
 func (s *SieveADN) LiveGraph() influence.Graph { return s.sieve.Graph() }
-
-// SetParallel turns the parallel candidate loop on (workers ≥ 2) or off.
-func (s *SieveADN) SetParallel(workers int) { s.sieve.SetParallel(workers) }
-
-// Parallel reports the configured worker count (0 = serial).
-func (s *SieveADN) Parallel() int { return s.sieve.Parallel() }

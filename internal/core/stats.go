@@ -113,9 +113,6 @@ func StatsFor(tr Tracker) (Stats, bool) {
 func (s *Sieve) footprint(seen graph.PageSeen) (total, reach, scratch int64) {
 	total = s.g.SizeBytes(seen)
 	scratch = s.oracle.ScratchBytes()
-	for _, o := range s.workerOracles {
-		scratch += o.ScratchBytes()
-	}
 	total += int64(cap(s.newPairs)) * 8
 	total += statMapBytes(len(s.srcSet), statNodeIDBytes)
 	total += int64(cap(s.srcs)) * statNodeIDBytes

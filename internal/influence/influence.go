@@ -127,8 +127,8 @@ type Endpoints struct {
 }
 
 // Oracle evaluates f_t over one Graph. It is not safe for concurrent use;
-// the optional parallel sieve gives each worker its own Oracle sharing one
-// counter (Counter is atomic).
+// shard.Engine's partitions, stepped in concurrent goroutines, each own
+// their Oracles and share one counter (Counter is atomic).
 type Oracle struct {
 	g       Graph
 	sg      SliceGraph // non-nil when g exposes slice-backed adjacency

@@ -15,8 +15,8 @@ import (
 	"time"
 )
 
-// Counter counts oracle calls. It is safe for concurrent use so the
-// optional parallel-sieve mode can share one counter across goroutines.
+// Counter counts oracle calls. It is safe for concurrent use because
+// shard.Engine steps its partitions in goroutines that share one counter.
 type Counter struct {
 	n atomic.Uint64
 }

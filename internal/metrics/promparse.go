@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -118,22 +119,17 @@ func ParseProm(r io.Reader) ([]PromMetric, error) {
 
 func parseSampleLine(line string) (PromSample, error) {
 	s := PromSample{Labels: map[string]string{}}
-	rest := line
-	if i := strings.IndexAny(rest, "{ "); i < 0 {
+	i := strings.IndexAny(line, "{ ")
+	if i < 0 {
 		return s, fmt.Errorf("malformed sample %q", line)
-	} else {
-		s.Name = rest[:i]
-		rest = rest[i:]
 	}
+	s.Name = line[:i]
+	rest := line[i:]
 	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		if err := parseLabels(rest[1:end], s.Labels); err != nil {
+		var err error
+		if rest, err = parseLabels(rest[1:], s.Labels); err != nil {
 			return s, fmt.Errorf("%w in %q", err, line)
 		}
-		rest = rest[end+1:]
 	}
 	fields := strings.Fields(rest)
 	if len(fields) < 1 {
@@ -147,16 +143,26 @@ func parseSampleLine(line string) (PromSample, error) {
 	return s, nil
 }
 
-func parseLabels(in string, out map[string]string) error {
-	for len(in) > 0 {
-		eq := strings.Index(in, "=")
-		if eq < 0 {
-			return fmt.Errorf("label without value: %q", in)
+// parseLabels reads a label set through its closing brace and returns
+// the rest of the line. The scan is quote-aware: a '}' inside a quoted
+// value does not end the set.
+func parseLabels(in string, out map[string]string) (string, error) {
+	for {
+		in = strings.TrimSpace(in)
+		if in == "" {
+			return "", errors.New("unterminated label set")
+		}
+		if in[0] == '}' {
+			return in[1:], nil
+		}
+		eq := strings.IndexAny(in, "=}")
+		if eq < 0 || in[eq] == '}' {
+			return "", fmt.Errorf("label without value: %q", in)
 		}
 		key := strings.TrimSpace(in[:eq])
 		in = in[eq+1:]
 		if !strings.HasPrefix(in, `"`) {
-			return fmt.Errorf("unquoted label value for %q", key)
+			return "", fmt.Errorf("unquoted label value for %q", key)
 		}
 		// Walk the quoted value honoring backslash escapes.
 		i := 1
@@ -182,12 +188,9 @@ func parseLabels(in string, out map[string]string) error {
 			i++
 		}
 		if i >= len(in) {
-			return fmt.Errorf("unterminated value for %q", key)
+			return "", fmt.Errorf("unterminated value for %q", key)
 		}
 		out[key] = val.String()
-		in = in[i+1:]
-		in = strings.TrimPrefix(strings.TrimSpace(in), ",")
-		in = strings.TrimSpace(in)
+		in = strings.TrimPrefix(strings.TrimSpace(in[i+1:]), ",")
 	}
-	return nil
 }

@@ -127,6 +127,13 @@ func ingestBody(w *worker, rr stream.RecordReader, maxChunk int, tr *obs.Trace) 
 	// the restored stream.
 	epoch := w.ingestEpoch()
 	timeMode := w.state.Load().timeMode
+	// Decode time is accounted a chunk at a time — the span between
+	// flushes is the reader pulling and parsing this chunk's records —
+	// two clock reads per chunk instead of two per record. The chunk
+	// buffer is allocated inside the first span and reused after each
+	// flush (internAndEnqueue copies it out), so no request time falls
+	// between stages.
+	decodeStart := time.Now()
 	raws := make([]rawRecord, 0, maxChunk)
 	// Durability is settled once per request, not per chunk: flush
 	// tracks the last WAL token and finish commits it before any
@@ -142,10 +149,6 @@ func ingestBody(w *worker, rr stream.RecordReader, maxChunk int, tr *obs.Trace) 
 		}
 		return accepted, err
 	}
-	// Decode time is accounted a chunk at a time — the span between
-	// flushes is the reader pulling and parsing this chunk's records —
-	// two clock reads per chunk instead of two per record.
-	decodeStart := time.Now()
 	flush := func() error {
 		if len(raws) == 0 {
 			return nil
@@ -161,7 +164,7 @@ func ingestBody(w *worker, rr stream.RecordReader, maxChunk int, tr *obs.Trace) 
 			lastTok = tok
 		}
 		accepted += len(raws)
-		raws = make([]rawRecord, 0, maxChunk)
+		raws = raws[:0]
 		decodeStart = time.Now()
 		return nil
 	}

@@ -245,12 +245,16 @@ type traceResponse struct {
 // endpoint's claim: on a single-chunk request the per-stage spans cover
 // the request wall time, so their sum lands within 10% of the measured
 // total (plus a small absolute epsilon for scheduler noise on the
-// boundaries between spans).
+// boundaries between spans). The stream runs in arrival mode, so the
+// chunk is one tracker step rather than one step per event time, which
+// keeps the request short under -race.
 func TestTraceEndpointStageSum(t *testing.T) {
+	spec := testSpec("traced")
+	spec.TimeMode = TimeArrival
 	s, ts := newTestServer(t, Config{
 		QueueDepth: 64,
 		MaxChunk:   1 << 20, // one chunk per request: stages tile the wall time
-		Streams:    []StreamSpec{testSpec("traced")},
+		Streams:    []StreamSpec{spec},
 	})
 
 	const records = 20000

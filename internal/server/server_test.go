@@ -382,36 +382,6 @@ func TestRestoreRejectsStaleIngest(t *testing.T) {
 	}
 }
 
-// TestRestoreReappliesParallelWorkers: LoadTracker rebuilds a tracker
-// single-threaded, so the restore path must reapply the spec's
-// parallel-sieve worker count.
-func TestRestoreReappliesParallelWorkers(t *testing.T) {
-	spec := StreamSpec{
-		Name:     "pw",
-		Tracker:  tdnstream.TrackerSpec{Algo: "histapprox", K: 3, Eps: 0.2, L: 50, Workers: 3},
-		Lifetime: tdnstream.LifetimeSpec{Policy: "constant", Window: 25},
-	}
-	st, err := buildState(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tdnstream.SaveTracker(&buf, st.tracker); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := buildState(spec, buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := restored.tracker.(interface{ Parallel() int })
-	if !ok {
-		t.Fatalf("restored tracker %T exposes no Parallel()", restored.tracker)
-	}
-	if got := p.Parallel(); got != 3 {
-		t.Fatalf("restored tracker runs %d workers, want 3", got)
-	}
-}
-
 // TestBackpressure fills the queue behind a wedged worker and requires
 // 429 + Retry-After instead of blocking.
 func TestBackpressure(t *testing.T) {

@@ -219,11 +219,6 @@ func buildState(spec StreamSpec, trackerBlob []byte) (*workerState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: stream %q: restore: %w", spec.Name, err)
 		}
-		// LoadTracker rebuilds the tracker single-threaded; reapply the
-		// spec's parallel-sieve setting exactly as TrackerSpec.New does.
-		if spec.Tracker.Workers >= 2 {
-			tracker = tdnstream.WithParallelSieve(tracker, spec.Tracker.Workers)
-		}
 	} else {
 		tracker, err = spec.Tracker.New()
 		if err != nil {

@@ -257,29 +257,6 @@ func (e *Engine) Name() string {
 // restored engine resumes from here: the next step must use a later time.
 func (e *Engine) Now() int64 { return e.t }
 
-// SetParallel forwards the parallel-sieve worker count to every
-// partition that supports it. Partitions already run concurrently with
-// each other, so nesting sieve parallelism inside shards is usually only
-// worth it when shards ≪ cores.
-func (e *Engine) SetParallel(workers int) {
-	for _, sh := range e.shards {
-		if p, ok := sh.(interface{ SetParallel(int) }); ok {
-			p.SetParallel(workers)
-		}
-	}
-}
-
-// Parallel reports the partitions' configured sieve worker count (0 =
-// serial).
-func (e *Engine) Parallel() int {
-	for _, sh := range e.shards {
-		if p, ok := sh.(interface{ Parallel() int }); ok {
-			return p.Parallel()
-		}
-	}
-	return 0
-}
-
 // EngineStats implements core.Sizer: the partition trackers' reports
 // summed, plus the record routing counters and their skew ratio
 // (max/mean; 1.0 is a perfectly balanced partition function).

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"syscall"
 	"testing"
@@ -401,6 +402,126 @@ func TestRepairWhileFaultPersists(t *testing.T) {
 	}
 	if got := replayAll(t, dir); len(got) != 1 || string(got[0]) != string(payloadFor(1)) {
 		t.Fatalf("replay mismatch: %d records", len(got))
+	}
+}
+
+// powerLossFS is a fault.FS seam that simulates a power loss: it
+// records each file's length at its last successful Sync, and cut
+// truncates every file back to that length — what the disk holds once
+// the page cache is gone. A file that existed before it was first
+// opened counts as durable at its length then.
+type powerLossFS struct {
+	fault.FS
+	mu     sync.Mutex
+	synced map[string]int64
+}
+
+func newPowerLossFS(base fault.FS) *powerLossFS {
+	return &powerLossFS{FS: base, synced: make(map[string]int64)}
+}
+
+func (p *powerLossFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	var size int64
+	if fi, err := p.FS.Stat(name); err == nil {
+		size = fi.Size()
+	}
+	f, err := p.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	if _, ok := p.synced[name]; !ok {
+		p.synced[name] = size
+	}
+	p.mu.Unlock()
+	return &powerLossFile{File: f, fs: p, name: name}, nil
+}
+
+func (p *powerLossFS) Truncate(name string, size int64) error {
+	if err := p.FS.Truncate(name, size); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	if n, ok := p.synced[name]; ok && size < n {
+		p.synced[name] = size
+	}
+	p.mu.Unlock()
+	return nil
+}
+
+// cut truncates every file opened through p to its synced length.
+func (p *powerLossFS) cut(t *testing.T) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for name, n := range p.synced {
+		if err := p.FS.Truncate(name, n); err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("power loss: %v", err)
+		}
+	}
+}
+
+type powerLossFile struct {
+	fault.File
+	fs   *powerLossFS
+	name string
+}
+
+// Sync records the length from before the fsync: bytes a concurrent
+// Write adds during it are not proven durable.
+func (f *powerLossFile) Sync() error {
+	fi, err := f.File.Stat()
+	if err != nil {
+		return err
+	}
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	f.fs.mu.Lock()
+	if fi.Size() > f.fs.synced[f.name] {
+		f.fs.synced[f.name] = fi.Size()
+	}
+	f.fs.mu.Unlock()
+	return nil
+}
+
+// TestRepairHealthyLogPowerLoss: a Repair of a log with no sticky error
+// (a stale degrade's repair loop) must not cost durability. Every
+// record Commit acked after it survives a power loss.
+func TestRepairHealthyLogPowerLoss(t *testing.T) {
+	dir := t.TempDir()
+	pfs := newPowerLossFS(fault.OS())
+	l, err := Open(dir, Options{Fsync: FsyncAlways, FS: pfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tok0, err := l.Append(payloadFor(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Repair(); err != nil {
+		t.Fatalf("repair of a healthy log: %v", err)
+	}
+	if err := l.Commit(tok0); err != nil {
+		t.Fatalf("commit 0: %v", err)
+	}
+	_, tok1, err := l.Append(payloadFor(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(tok1); err != nil {
+		t.Fatalf("commit 1: %v", err)
+	}
+	pfs.cut(t)
+	l.Close()
+	got := replayAll(t, dir)
+	if len(got) != 2 {
+		t.Fatalf("replayed %d records after a power loss, want both acked records", len(got))
+	}
+	for i, p := range got {
+		if string(p) != string(payloadFor(i)) {
+			t.Fatalf("record %d = %q, want payload %d", i, p, i)
+		}
 	}
 }
 

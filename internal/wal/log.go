@@ -487,14 +487,26 @@ func (l *Log) syncLoop() {
 //
 // If the fault persists (the rotation or truncation itself fails — the
 // disk is still full), Repair returns the error and leaves the log
-// poisoned; callers retry with backoff.
+// poisoned; callers retry with backoff. Repair of a log that is not
+// poisoned is a no-op: its active handle is healthy, so the next Sync
+// proves durability through it.
 func (l *Log) Repair() error {
 	l.mu.Lock()
 	if l.f == nil {
 		l.mu.Unlock()
 		return errors.New("wal: log closed")
 	}
-	if l.writeErr != nil {
+	if l.writeErr == nil {
+		l.sm.Lock() // mu before sm: the log's lock order
+		healthy := l.syncErr == nil
+		l.sm.Unlock()
+		if healthy {
+			// Rotating would close the active handle without an fsync
+			// and fence nothing, so a later round could ack its frames.
+			l.mu.Unlock()
+			return nil
+		}
+	} else {
 		// Cut the torn frame so the abandoned segment ends at a frame
 		// boundary: replay treats mid-log corruption as fatal (records
 		// provably exist beyond it), and rotation is about to make this

@@ -32,9 +32,6 @@ type TrackerSpec struct {
 	Beta int
 	// Seed feeds the randomized algorithms (random, dim, imm, timplus).
 	Seed int64
-	// Workers ≥ 2 enables the parallel candidate loop on sieve-based
-	// algorithms (ignored by the others).
-	Workers int
 	// Shards ≥ 2 partitions the stream by source-node hash across that
 	// many independent tracker instances with a global greedy top-k merge
 	// (internal/shard) — the scale-out mode for streams that saturate one
@@ -68,27 +65,14 @@ func (s TrackerSpec) New() (Tracker, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tdnstream: %w", err)
 		}
-		// Workers composes with sharding: every partition runs its own
-		// parallel candidate loop on top of the shard-level concurrency —
-		// only worth it when Shards ≪ cores.
-		if s.Workers >= 2 {
-			eng.SetParallel(s.Workers)
-		}
 		return eng, nil
 	}
-	tr, err := s.build(nil)
-	if err != nil {
-		return nil, err
-	}
-	if s.Workers >= 2 {
-		tr = WithParallelSieve(tr, s.Workers)
-	}
-	return tr, nil
+	return s.build(nil)
 }
 
 // build constructs the single-tracker form of the spec, counting oracle
-// calls into calls (nil for a private counter). The parallel-sieve and
-// sharding wrappers are applied by New.
+// calls into calls (nil for a private counter). The sharding wrapper is
+// applied by New.
 func (s TrackerSpec) build(calls *metrics.Counter) (Tracker, error) {
 	eps := s.Eps
 	if eps == 0 {

@@ -91,18 +91,6 @@ func NewHistApproxRefined(k int, eps float64, L int) Tracker {
 	return h
 }
 
-// WithParallelSieve enables the paper's parallel sieve remark (§III-A)
-// on a tracker built by NewSieveADN, NewBasicReduction, NewHistApprox or
-// NewHistApproxRefined: the per-node candidate loop fans out across
-// workers goroutines with identical decisions and identical oracle-call
-// accounting. Other trackers are returned unchanged.
-func WithParallelSieve(tr Tracker, workers int) Tracker {
-	if p, ok := tr.(interface{ SetParallel(int) }); ok {
-		p.SetParallel(workers)
-	}
-	return tr
-}
-
 // NewGreedy returns the lazy-greedy baseline (re-run per query,
 // (1−1/e)-approximate, expensive).
 func NewGreedy(k int) Tracker { return baselines.NewGreedy(k, nil) }
