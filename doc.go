@@ -38,7 +38,13 @@
 // adjacency with copy-on-write cloning (so HISTAPPROX instance creation
 // costs O(nodes/page) instead of O(edges)), and the influence oracle
 // reuses generation-stamped scratch so steady-state BFS evaluations do
-// not allocate. `go test -run '^$' -bench . ./internal/influence
+// not allocate. A sieve instance gets the singleton spreads f({v}) of a
+// batch's affected nodes from one iterative Tarjan pass over the
+// subgraph they induce, not one BFS per node: the nodes of a strongly
+// connected component share f, a component whose out-edges all enter
+// one other component adds its size to that one's spread, and the reach
+// set of the largest component cuts short the BFS of every component
+// that reaches it. `go test -run '^$' -bench . ./internal/influence
 // ./internal/core` runs the micro-benchmarks.
 //
 // # Serving

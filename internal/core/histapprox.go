@@ -53,6 +53,10 @@ type HistApprox struct {
 	groups    map[int][]stream.Edge
 	groupPool [][]stream.Edge
 	lifetimes []int // sorted lifetime classes of the current batch, reused
+
+	// scc is the singleton-pass scratch every instance shares: instances
+	// are fed one at a time, and clones inherit it.
+	scc *influence.SingletonScratch
 }
 
 // NewHistApprox returns a HISTAPPROX tracker with budget k, granularity
@@ -72,6 +76,7 @@ func NewHistApprox(k int, eps float64, L int, calls *metrics.Counter) *HistAppro
 		calls:  calls,
 		insts:  make(map[int64]*Sieve),
 		groups: make(map[int][]stream.Edge),
+		scc:    new(influence.SingletonScratch),
 	}
 }
 
@@ -179,7 +184,7 @@ func (h *HistApprox) createInstance(d int64) {
 	succIdx := sort.Search(len(h.xs), func(i int) bool { return h.xs[i] > d })
 	var inst *Sieve
 	if succIdx == len(h.xs) {
-		inst = NewSieve(h.k, h.eps, h.calls)
+		inst = newSieve(h.k, h.eps, h.calls, h.scc)
 	} else {
 		succ := h.xs[succIdx]
 		inst = h.insts[succ].Clone()

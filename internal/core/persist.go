@@ -7,7 +7,6 @@ import (
 
 	"tdnstream/internal/graph"
 	"tdnstream/internal/ids"
-	"tdnstream/internal/influence"
 	"tdnstream/internal/metrics"
 	"tdnstream/internal/stream"
 )
@@ -92,7 +91,8 @@ func (s *Sieve) snapshot() sieveSnap {
 }
 
 // restoreSieve rebuilds an instance from its wire form, recomputing each
-// candidate's reach set on the restored graph.
+// non-empty candidate's reach set on the restored graph (one oracle call
+// each).
 func restoreSieve(snap sieveSnap, calls *metrics.Counter) (*Sieve, error) {
 	if snap.K < 1 || snap.Eps <= 0 || snap.Eps >= 1 {
 		return nil, fmt.Errorf("core: corrupt sieve snapshot (k=%d eps=%g)", snap.K, snap.Eps)
@@ -105,30 +105,18 @@ func restoreSieve(snap sieveSnap, calls *metrics.Counter) (*Sieve, error) {
 	s.g.RestoreInteractions(snap.Interactions)
 	s.delta = snap.Delta
 	for _, cs := range snap.Cands {
-		c := &sieveCand{
-			exp:     cs.Exp,
-			members: append([]ids.NodeID(nil), cs.Members...),
-			inSet:   make(map[ids.NodeID]struct{}, len(cs.Members)),
-			reach:   nil,
-		}
+		c := s.newCand(cs.Exp)
+		c.members = append([]ids.NodeID(nil), cs.Members...)
 		for _, m := range cs.Members {
 			c.inSet[m] = struct{}{}
 		}
-		c.reach = newReachFor(s, cs.Members)
+		if len(c.members) > 0 {
+			s.oracle.FillReachSet(c.reach, c.members...)
+		}
 		s.cands[cs.Exp] = c
 		s.candsDirty = true
 	}
 	return s, nil
-}
-
-// newReachFor materializes R(members) on s's graph (one oracle call when
-// the candidate is non-empty).
-func newReachFor(s *Sieve, members []ids.NodeID) *influence.ReachSet {
-	rs := influence.NewReachSet()
-	if len(members) > 0 {
-		s.oracle.FillReachSet(rs, members...)
-	}
-	return rs
 }
 
 // histSnap is the wire form of a HistApprox tracker.
@@ -193,6 +181,7 @@ func ReadHistApproxSnapshot(r io.Reader, calls *metrics.Counter) (*HistApprox, e
 		if err != nil {
 			return nil, err
 		}
+		inst.scc = h.scc
 		h.insts[d] = inst
 		h.xs = append(h.xs, d)
 	}
@@ -241,6 +230,7 @@ func ReadBasicReductionSnapshot(r io.Reader, calls *metrics.Counter) (*BasicRedu
 		if err != nil {
 			return nil, err
 		}
+		inst.scc = b.scc
 		b.insts[d] = inst
 	}
 	return b, nil

@@ -37,7 +37,10 @@ type Sieve struct {
 	newPairs []influence.Endpoints
 	srcSet   map[ids.NodeID]struct{}
 	srcs     []ids.NodeID
-	singles  []int
+	// scc is the singleton pass's scratch. A tracker feeds its instances
+	// one at a time, so BasicReduction and HistApprox give all of theirs
+	// one scratch, and Clone hands it on.
+	scc *influence.SingletonScratch
 	// candList is the slice view of cands, sorted by exponent; it is
 	// rebuilt lazily only when candsDirty (thresholds entered/left the
 	// window) instead of being re-snapshotted every batch.
@@ -47,6 +50,7 @@ type Sieve struct {
 
 type sieveCand struct {
 	exp     int
+	theta   float64 // θ_exp, fixed for the candidate's life
 	members []ids.NodeID
 	inSet   map[ids.NodeID]struct{}
 	reach   *influence.ReachSet // R(S); Len() == f(S), always current
@@ -55,6 +59,7 @@ type sieveCand struct {
 func (c *sieveCand) clone() *sieveCand {
 	d := &sieveCand{
 		exp:     c.exp,
+		theta:   c.theta,
 		members: append([]ids.NodeID(nil), c.members...),
 		inSet:   make(map[ids.NodeID]struct{}, len(c.inSet)),
 		reach:   c.reach.Clone(),
@@ -69,6 +74,12 @@ func (c *sieveCand) clone() *sieveCand {
 // eps the sieve granularity ε ∈ (0,1); calls is the shared oracle-call
 // counter (may be nil).
 func NewSieve(k int, eps float64, calls *metrics.Counter) *Sieve {
+	return newSieve(k, eps, calls, new(influence.SingletonScratch))
+}
+
+// newSieve is NewSieve with the singleton pass's scratch supplied, for
+// trackers whose instances share one.
+func newSieve(k int, eps float64, calls *metrics.Counter, scc *influence.SingletonScratch) *Sieve {
 	if k < 1 {
 		panic("core: k must be ≥ 1")
 	}
@@ -83,6 +94,7 @@ func NewSieve(k int, eps float64, calls *metrics.Counter) *Sieve {
 		oracle: influence.New(g, calls),
 		cands:  make(map[int]*sieveCand),
 		srcSet: make(map[ids.NodeID]struct{}),
+		scc:    scc,
 	}
 }
 
@@ -155,16 +167,12 @@ func (s *Sieve) Feed(batch []Pair) {
 	affected := s.oracle.Affected(s.srcs)
 
 	// Lines 4-7: refresh Δ and the lazy threshold set. The singleton
-	// spreads are kept: submodularity gives δ_S(v) ≤ f({v}), which lets
-	// the sieve below skip thresholds no candidate test could pass
-	// without spending an oracle call (the decision is unchanged).
-	if cap(s.singles) < len(affected) {
-		s.singles = make([]int, len(affected))
-	}
-	s.singles = s.singles[:len(affected)]
-	for i, v := range affected {
-		f := s.oracle.Spread(v)
-		s.singles[i] = f
+	// spreads come from one SCC pass over the affected subgraph and are
+	// kept: submodularity gives δ_S(v) ≤ f({v}), which lets the sieve
+	// below skip thresholds no candidate test could pass without spending
+	// an oracle call (the decision is unchanged).
+	singles := s.oracle.Singletons(affected, s.scc)
+	for _, f := range singles {
 		if f > s.delta {
 			s.delta = f
 		}
@@ -177,7 +185,7 @@ func (s *Sieve) Feed(batch []Pair) {
 	// shard.Engine is the intra-stream parallelism.
 	cands := s.candidates()
 	for i, v := range affected {
-		sv := float64(s.singles[i])
+		sv := float64(singles[i])
 		for _, c := range cands {
 			s.testCandidate(c, v, sv)
 		}
@@ -193,11 +201,10 @@ func (s *Sieve) testCandidate(c *sieveCand, v ids.NodeID, sv float64) {
 	if _, in := c.inSet[v]; in {
 		return
 	}
-	θ := s.threshold(c.exp)
-	if sv < θ {
+	if sv < c.theta {
 		return // upper bound rules the test out: δ ≤ f({v}) < θ
 	}
-	if float64(s.oracle.MarginalGain(c.reach, v, false)) >= θ {
+	if float64(s.oracle.MarginalGain(c.reach, v, false)) >= c.theta {
 		s.oracle.MarginalGain(c.reach, v, true)
 		c.members = append(c.members, v)
 		c.inSet[v] = struct{}{}
@@ -235,13 +242,19 @@ func (s *Sieve) refreshThresholds() {
 	}
 	for exp := lo; exp <= hi; exp++ {
 		if _, ok := s.cands[exp]; !ok {
-			s.cands[exp] = &sieveCand{
-				exp:   exp,
-				inSet: make(map[ids.NodeID]struct{}),
-				reach: influence.NewReachSet(),
-			}
+			s.cands[exp] = s.newCand(exp)
 			s.candsDirty = true
 		}
+	}
+}
+
+// newCand returns an empty candidate for threshold exponent exp.
+func (s *Sieve) newCand(exp int) *sieveCand {
+	return &sieveCand{
+		exp:   exp,
+		theta: s.threshold(exp),
+		inSet: make(map[ids.NodeID]struct{}),
+		reach: influence.NewReachSet(),
 	}
 }
 
@@ -274,11 +287,11 @@ func (s *Sieve) Solution() Solution {
 }
 
 // Clone copies the instance — graph, candidates, Δ — sharing only the
-// oracle-call counter. The graph copy is copy-on-write (see graph.ADN.
-// Clone) and each candidate's reach set clones with one word-array copy,
-// so the whole operation is O(nodes + |Θ|·(nodes/64 + k)) rather than
-// O(edges). HISTAPPROX uses this to create an instance from its successor
-// (paper Fig. 6c).
+// oracle-call counter and the singleton pass's scratch. The graph copy
+// is copy-on-write (see graph.ADN.Clone) and each candidate's reach set
+// clones with one word-array copy, so the whole operation is
+// O(nodes + |Θ|·(nodes/64 + k)) rather than O(edges). HISTAPPROX uses
+// this to create an instance from its successor (paper Fig. 6c).
 func (s *Sieve) Clone() *Sieve {
 	g := s.g.Clone()
 	c := &Sieve{
@@ -289,6 +302,7 @@ func (s *Sieve) Clone() *Sieve {
 		delta:      s.delta,
 		cands:      make(map[int]*sieveCand, len(s.cands)),
 		srcSet:     make(map[ids.NodeID]struct{}),
+		scc:        s.scc,
 		candsDirty: true,
 	}
 	for exp, cand := range s.cands {

@@ -166,6 +166,39 @@ func TestSieveCandidateValuesExact(t *testing.T) {
 	}
 }
 
+// Δ must be the largest singleton spread on the graph after every Feed,
+// recomputed here by brute force. The streams run from sparse chains and
+// fans to one giant strongly connected component, so every rule the
+// singleton pass derives spreads by gets exercised.
+func TestSieveDeltaIsMaxSingleton(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(120)
+		s := NewSieve(1+rng.Intn(5), 0.2, nil)
+		adj := make(map[ids.NodeID][]ids.NodeID)
+		for step := 0; step < 50; step++ {
+			var batch []Pair
+			for i := 0; i < 1+rng.Intn(6); i++ {
+				u := ids.NodeID(rng.Intn(n))
+				v := ids.NodeID(rng.Intn(n))
+				if u == v {
+					continue
+				}
+				batch = append(batch, Pair{u, v})
+				adj[u] = append(adj[u], v)
+			}
+			s.Feed(batch)
+			want := 0
+			for u := range adj {
+				want = max(want, testutil.Reach(adj, []ids.NodeID{u}))
+			}
+			if s.delta != want {
+				t.Fatalf("seed %d step %d: Δ = %d, largest f({v}) = %d", seed, step, s.delta, want)
+			}
+		}
+	}
+}
+
 // Theorem 2: SIEVEADN is (1/2−ε)-approximate on ADNs. Compare against
 // brute-force OPT on small random streams, at every step.
 func TestSieveApproximationGuarantee(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"tdnstream/internal/graph"
+	"tdnstream/internal/influence"
 )
 
 // Engine introspection: every tracker in the module can report its
@@ -16,7 +17,7 @@ import (
 const (
 	statNodeIDBytes = 4  // ids.NodeID is uint32
 	statEdgeBytes   = 24 // stream.Edge, aligned
-	statCandBytes   = 80 // sieveCand struct + ReachSet header
+	statCandBytes   = 88 // sieveCand struct + ReachSet header
 )
 
 // statMapBytes estimates a Go map with n entries of kv key+value bytes
@@ -61,7 +62,7 @@ type Stats struct {
 	ThresholdExpHi int `json:"threshold_exp_hi"`
 
 	// ReachBytes is the slice of Bytes held by candidate reach-set
-	// bitsets; ScratchBytes the oracle BFS scratch.
+	// bitsets; ScratchBytes the oracle BFS and singleton-pass scratch.
 	ReachBytes   int64 `json:"reach_bytes,omitempty"`
 	ScratchBytes int64 `json:"scratch_bytes,omitempty"`
 
@@ -116,7 +117,6 @@ func (s *Sieve) footprint(seen graph.PageSeen) (total, reach, scratch int64) {
 	total += int64(cap(s.newPairs)) * 8
 	total += statMapBytes(len(s.srcSet), statNodeIDBytes)
 	total += int64(cap(s.srcs)) * statNodeIDBytes
-	total += int64(cap(s.singles)) * 8
 	total += int64(cap(s.candList)) * 8
 	total += statMapBytes(len(s.cands), 8+8)
 	for _, c := range s.cands {
@@ -134,14 +134,15 @@ func (s *Sieve) footprint(seen graph.PageSeen) (total, reach, scratch int64) {
 // engineStats reports one instance; the caller sets Tracker.
 func (s *Sieve) engineStats(seen graph.PageSeen) Stats {
 	total, reach, scratch := s.footprint(seen)
+	scc := s.scc.SizeBytes()
 	st := Stats{
 		Instances:    1,
 		Nodes:        s.g.NumNodes(),
 		Edges:        s.g.NumEdges(),
 		Thresholds:   len(s.cands),
 		ReachBytes:   reach,
-		ScratchBytes: scratch,
-		Bytes:        total,
+		ScratchBytes: scratch + scc,
+		Bytes:        total + scc,
 	}
 	for _, c := range s.cands {
 		if len(c.members) > st.MaxCandidate {
@@ -163,8 +164,9 @@ func (s *SieveADN) EngineStats() Stats {
 
 // histogramStats folds a deadline-keyed instance map into one report,
 // sharing a page-seen set so copy-on-write pages common to the clone
-// family are counted once. Used by HistApprox and BasicReduction.
-func histogramStats(insts map[int64]*Sieve, t int64) Stats {
+// family are counted once, and counting once the singleton-pass scratch
+// scc that every instance shares. Used by HistApprox and BasicReduction.
+func histogramStats(insts map[int64]*Sieve, t int64, scc *influence.SingletonScratch) Stats {
 	deadlines := make([]int64, 0, len(insts))
 	for d := range insts {
 		deadlines = append(deadlines, d)
@@ -198,13 +200,15 @@ func histogramStats(insts map[int64]*Sieve, t int64) Stats {
 			Value:      inst.Value(),
 		})
 	}
+	st.ScratchBytes += scc.SizeBytes()
+	st.Bytes += scc.SizeBytes()
 	return st
 }
 
 // EngineStats implements Sizer. Nodes/Edges are the live graph's (the
 // TDN store), not the per-instance addition-only views.
 func (h *HistApprox) EngineStats() Stats {
-	st := histogramStats(h.insts, h.t)
+	st := histogramStats(h.insts, h.t, h.scc)
 	st.Tracker = h.Name()
 	st.ReductionKills = h.kills
 	if h.store != nil {
@@ -226,7 +230,7 @@ func (h *HistApprox) EngineStats() Stats {
 // EngineStats implements Sizer. Nodes/Edges come from the head instance,
 // which has processed exactly the live edges.
 func (b *BasicReduction) EngineStats() Stats {
-	st := histogramStats(b.insts, b.t)
+	st := histogramStats(b.insts, b.t, b.scc)
 	st.Tracker = b.Name()
 	if head, ok := b.insts[b.t+1]; ok {
 		st.Nodes = head.g.NumNodes()

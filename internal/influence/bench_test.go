@@ -131,3 +131,18 @@ func BenchmarkAffected(b *testing.B) {
 		o.Affected(srcs)
 	}
 }
+
+// BenchmarkSingletons measures the SCC pass that yields f({v}) for every
+// node Affected returns (done once per fed batch, after Affected).
+func BenchmarkSingletons(b *testing.B) {
+	const n, m = 20000, 60000
+	g := benchGraph(n, m)
+	o := New(g, nil)
+	affected := o.Affected([]ids.NodeID{0, 1, 2, 3, 4, 5, 6, 7})
+	sc := new(SingletonScratch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Singletons(affected, sc)
+	}
+}

@@ -5,9 +5,12 @@
 // f_t is normalized, monotone and submodular (Theorem 1), which is what
 // every algorithm in this module exploits. An "oracle call" — the paper's
 // efficiency unit — is one evaluation of f_t; each exported evaluation
-// method increments the shared metrics.Counter exactly once.
+// method increments the shared metrics.Counter exactly once. Singletons
+// is the exception that keeps the unit honest: it charges one call per
+// BFS it actually runs, and a singleton spread it derives from the
+// strongly connected component structure costs none.
 //
-// Three implementation ideas keep millions of evaluations affordable:
+// Four implementation ideas keep millions of evaluations affordable:
 //
 //  1. Generation-stamped visited slices indexed by dense NodeID, so a BFS
 //     allocates nothing in steady state.
@@ -18,10 +21,15 @@
 //     current incrementally as edges arrive.
 //  3. Dense containers: ReachSet is a growable bitset ([]uint64 + count),
 //     so the per-visited-edge membership probe is a shift+mask instead of
-//     a map lookup and Clone is a single word-array copy; graphs that
-//     expose slice-backed adjacency (SliceGraph, e.g. graph.ADN) are
-//     traversed by ranging over the neighbor slice directly, with no
-//     per-node callback.
+//     a map lookup and Clone is a single word-array copy. Every BFS
+//     ranges over neighbor slices: graph.ADN exposes its slice-backed
+//     adjacency (SliceGraph) directly, and any other Graph has each
+//     node's neighbors copied into one reused buffer, so no evaluation
+//     builds a closure.
+//  4. Singleton spreads in bulk: Singletons condenses the affected
+//     subgraph into its strongly connected components and derives most
+//     f({v}) from the components they reach, instead of running one BFS
+//     per node.
 package influence
 
 import (
@@ -43,10 +51,11 @@ type Graph interface {
 }
 
 // SliceGraph is an optional fast path: graphs whose adjacency is
-// slice-backed expose it directly so the BFS inner loop ranges over a
-// []NodeID instead of paying an interface call plus closure per node.
-// Returned slices must stay valid and immutable for the duration of the
-// traversal (graph.ADN satisfies this; its slices are append-only).
+// slice-backed expose it directly, so the BFS inner loop ranges over the
+// graph's own []NodeID instead of a copy filled by one callback per
+// neighbor. Returned slices must stay valid and immutable for the
+// duration of the traversal (graph.ADN satisfies this; its slices are
+// append-only). Singletons requires one.
 type SliceGraph interface {
 	Graph
 	// OutSlice returns the distinct out-neighbors of u (nil if none).
@@ -130,8 +139,10 @@ type Endpoints struct {
 // shard.Engine's partitions, stepped in concurrent goroutines, each own
 // their Oracles and share one counter (Counter is atomic).
 type Oracle struct {
-	g       Graph
-	sg      SliceGraph // non-nil when g exposes slice-backed adjacency
+	g Graph
+	// sg is g itself when g exposes slice-backed adjacency, else a
+	// neighborCopy of it: every BFS ranges over neighbor slices.
+	sg      SliceGraph
 	calls   *metrics.Counter
 	visited []uint32
 	gen     uint32
@@ -141,14 +152,43 @@ type Oracle struct {
 	affected []ids.NodeID
 }
 
+// neighborCopy adapts a Graph without slice-backed adjacency to
+// SliceGraph by copying one node's neighbor visits into a reused buffer,
+// so the oracle builds no closure per call. A returned slice is valid only
+// until the next OutSlice or InSlice call; each BFS loop ranges over one
+// node's slice before it asks for the next.
+type neighborCopy struct {
+	Graph
+	buf     []ids.NodeID
+	collect func(v ids.NodeID)
+}
+
+func newNeighborCopy(g Graph) *neighborCopy {
+	c := &neighborCopy{Graph: g}
+	c.collect = func(v ids.NodeID) { c.buf = append(c.buf, v) }
+	return c
+}
+
+func (c *neighborCopy) OutSlice(u ids.NodeID) []ids.NodeID {
+	c.buf = c.buf[:0]
+	c.OutNeighbors(u, c.collect)
+	return c.buf
+}
+
+func (c *neighborCopy) InSlice(u ids.NodeID) []ids.NodeID {
+	c.buf = c.buf[:0]
+	c.InNeighbors(u, c.collect)
+	return c.buf
+}
+
 // New returns an oracle over g counting calls into c (c may be nil, in
 // which case a private counter is used).
 func New(g Graph, c *metrics.Counter) *Oracle {
 	if c == nil {
 		c = &metrics.Counter{}
 	}
-	o := &Oracle{g: g, calls: c}
-	o.sg, _ = g.(SliceGraph)
+	o := &Oracle{calls: c}
+	o.Retarget(g)
 	return o
 }
 
@@ -159,8 +199,12 @@ func (o *Oracle) Calls() *metrics.Counter { return o.calls }
 // scratch (generation-stamped visited stamps plus the queue/delta/affected
 // buffers). The graph itself is accounted separately by its owner.
 func (o *Oracle) ScratchBytes() int64 {
-	return int64(cap(o.visited))*4 +
+	n := int64(cap(o.visited))*4 +
 		int64(cap(o.queue)+cap(o.delta)+cap(o.affected))*4
+	if c, ok := o.sg.(*neighborCopy); ok {
+		n += int64(cap(c.buf)) * 4
+	}
+	return n
 }
 
 // Graph returns the underlying graph view.
@@ -170,7 +214,11 @@ func (o *Oracle) Graph() Graph { return o.g }
 // instance, whose oracle must traverse the cloned graph).
 func (o *Oracle) Retarget(g Graph) {
 	o.g = g
-	o.sg, _ = g.(SliceGraph)
+	if sg, ok := g.(SliceGraph); ok {
+		o.sg = sg
+	} else {
+		o.sg = newNeighborCopy(g)
+	}
 }
 
 func (o *Oracle) nextGen() uint32 {
@@ -210,30 +258,15 @@ func (o *Oracle) Spread(seeds ...ids.NodeID) int {
 			q = append(q, s)
 		}
 	}
-	if o.sg != nil {
-		for len(q) > 0 {
-			u := q[len(q)-1]
-			q = q[:len(q)-1]
-			for _, v := range o.sg.OutSlice(u) {
-				if o.visited[v] != gen {
-					o.visited[v] = gen
-					count++
-					q = append(q, v)
-				}
-			}
-		}
-	} else {
-		visit := func(v ids.NodeID) {
+	for len(q) > 0 {
+		u := q[len(q)-1]
+		q = q[:len(q)-1]
+		for _, v := range o.sg.OutSlice(u) {
 			if o.visited[v] != gen {
 				o.visited[v] = gen
 				count++
 				q = append(q, v)
 			}
-		}
-		for len(q) > 0 {
-			u := q[len(q)-1]
-			q = q[:len(q)-1]
-			o.g.OutNeighbors(u, visit)
 		}
 	}
 	o.queue = q[:0]
@@ -255,30 +288,15 @@ func (o *Oracle) FillReachSet(dst *ReachSet, seeds ...ids.NodeID) int {
 			q = append(q, s)
 		}
 	}
-	if o.sg != nil {
-		for len(q) > 0 {
-			u := q[len(q)-1]
-			q = q[:len(q)-1]
-			for _, v := range o.sg.OutSlice(u) {
-				if o.visited[v] != gen {
-					o.visited[v] = gen
-					dst.add(v)
-					q = append(q, v)
-				}
-			}
-		}
-	} else {
-		visit := func(v ids.NodeID) {
+	for len(q) > 0 {
+		u := q[len(q)-1]
+		q = q[:len(q)-1]
+		for _, v := range o.sg.OutSlice(u) {
 			if o.visited[v] != gen {
 				o.visited[v] = gen
 				dst.add(v)
 				q = append(q, v)
 			}
-		}
-		for len(q) > 0 {
-			u := q[len(q)-1]
-			q = q[:len(q)-1]
-			o.g.OutNeighbors(u, visit)
 		}
 	}
 	o.queue = q[:0]
@@ -289,34 +307,17 @@ func (o *Oracle) FillReachSet(dst *ReachSet, seeds ...ids.NodeID) int {
 // returns the newly discovered nodes (including the frontier itself).
 // Assumes frontier nodes are stamped with gen and not in rs.
 func (o *Oracle) expand(q []ids.NodeID, gen uint32, rs *ReachSet) []ids.NodeID {
-	delta := o.delta[:0]
-	delta = append(delta, q...)
-	if o.sg != nil {
-		for len(q) > 0 {
-			u := q[len(q)-1]
-			q = q[:len(q)-1]
-			for _, w := range o.sg.OutSlice(u) {
-				if o.visited[w] == gen || rs.Contains(w) {
-					continue
-				}
-				o.visited[w] = gen
-				delta = append(delta, w)
-				q = append(q, w)
-			}
-		}
-	} else {
-		visit := func(w ids.NodeID) {
+	delta := append(o.delta[:0], q...)
+	for len(q) > 0 {
+		u := q[len(q)-1]
+		q = q[:len(q)-1]
+		for _, w := range o.sg.OutSlice(u) {
 			if o.visited[w] == gen || rs.Contains(w) {
-				return
+				continue
 			}
 			o.visited[w] = gen
 			delta = append(delta, w)
 			q = append(q, w)
-		}
-		for len(q) > 0 {
-			u := q[len(q)-1]
-			q = q[:len(q)-1]
-			o.g.OutNeighbors(u, visit)
 		}
 	}
 	o.queue = q[:0]
@@ -394,33 +395,230 @@ func (o *Oracle) Affected(sources []ids.NodeID) []ids.NodeID {
 			q = append(q, s)
 		}
 	}
-	if o.sg != nil {
-		for len(q) > 0 {
-			u := q[len(q)-1]
-			q = q[:len(q)-1]
-			for _, v := range o.sg.InSlice(u) {
-				if o.visited[v] != gen {
-					o.visited[v] = gen
-					out = append(out, v)
-					q = append(q, v)
-				}
-			}
-		}
-	} else {
-		visit := func(v ids.NodeID) {
+	for len(q) > 0 {
+		u := q[len(q)-1]
+		q = q[:len(q)-1]
+		for _, v := range o.sg.InSlice(u) {
 			if o.visited[v] != gen {
 				o.visited[v] = gen
 				out = append(out, v)
 				q = append(q, v)
 			}
 		}
-		for len(q) > 0 {
-			u := q[len(q)-1]
-			q = q[:len(q)-1]
-			o.g.InNeighbors(u, visit)
-		}
 	}
 	o.queue = q[:0]
 	o.affected = out
+	return out
+}
+
+// SingletonScratch is the reusable working memory of Singletons, grown
+// geometrically and kept between calls. It carries no state from one
+// call to the next, so oracles that never run Singletons at the same time
+// (the instances of one tracker, fed one at a time) may share one.
+type SingletonScratch struct {
+	pos            []int32 // NodeID → index into the affected slice
+	num, low, comp []int32 // per affected node: Tarjan number, low link, SCC
+	frames         []sccFrame
+	stack          []int32
+	members        []int32 // affected indices grouped by SCC, sinks last
+	start          []int32 // SCC c holds members[start[c]:start[c+1]]
+	cross          []int32 // per SCC: edges into other affected SCCs
+	succ           []int32 // per SCC: the one SCC those edges enter, or none/many
+	toHub          []bool  // per SCC: it reaches the hub
+	out            []int   // per affected node: f({v})
+	hub            ReachSet
+}
+
+// sccFrame is one level of the iterative Tarjan walk: an affected node
+// and the in-neighbors it has yet to visit.
+type sccFrame struct {
+	u    int32
+	rest []ids.NodeID
+}
+
+// SizeBytes returns the heap bytes the scratch holds.
+func (sc *SingletonScratch) SizeBytes() int64 {
+	n := cap(sc.pos) + cap(sc.num) + cap(sc.low) + cap(sc.comp) + cap(sc.stack) +
+		cap(sc.members) + cap(sc.start) + cap(sc.cross) + cap(sc.succ)
+	return int64(n)*4 + int64(cap(sc.frames))*32 + int64(cap(sc.toHub)) +
+		int64(cap(sc.out))*8 + sc.hub.SizeBytes()
+}
+
+// fit returns s with length n, reallocating geometrically when its
+// capacity is short; a reallocation does not keep the contents.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = make([]T, n, n+n/2+8)
+	}
+	return s[:n]
+}
+
+// Successor markers for SingletonScratch.succ.
+const (
+	noSucc   = -1
+	manySucc = -2
+)
+
+// Singletons returns f({v}) for every node v of affected, index for index,
+// from one iterative Tarjan pass over the subgraph affected induces. The
+// graph must be a SliceGraph, and affected must be closed under
+// predecessors, as Affected's result is, so the pass walks in-edges and
+// never leaves that subgraph. The result lives in sc and is valid until
+// sc is used again.
+//
+// Nodes of one strongly connected component (SCC) share f. The pass
+// handles each SCC C once, sinks first, so every SCC C reaches is done
+// before C, by the first rule that fits. The hub H is the largest SCC
+// (the first one emitted among equals); its rules are skipped when H is a
+// single node. rep(C) is any member of C.
+//
+//   - C is H: fill R(H). One oracle call.
+//   - No edge leaves C: f(C) = |C|.
+//   - Every edge leaving C enters one SCC D: f(C) = |C| + f(D), since
+//     R(C) is C plus R(D), disjoint.
+//   - C reaches H: f(C) = |R(H)| + δ_{R(H)}(rep(C)), a BFS that stops at
+//     R(H). One call.
+//   - Otherwise: Spread(rep(C)). One call.
+//
+// A derived spread costs no call; every call is one BFS actually run.
+func (o *Oracle) Singletons(affected []ids.NodeID, sc *SingletonScratch) []int {
+	if _, ok := o.sg.(*neighborCopy); ok {
+		panic("influence: Singletons needs a SliceGraph")
+	}
+	n := len(affected)
+	need := o.g.NodeCap()
+	for _, v := range affected {
+		need = max(need, int(v)+1)
+	}
+	if len(sc.pos) < need {
+		sc.pos = fit(sc.pos, need)
+	}
+	for i, v := range affected {
+		sc.pos[v] = int32(i)
+	}
+
+	// Tarjan over in-edges. An SCC is emitted after every SCC that reaches
+	// it, so the emission order puts sources first and sinks last.
+	num, low, comp := fit(sc.num, n), fit(sc.low, n), fit(sc.comp, n)
+	clear(num)
+	for i := range comp {
+		comp[i] = -1
+	}
+	frames, stack := sc.frames[:0], sc.stack[:0]
+	members, start := sc.members[:0], sc.start[:0]
+	next := int32(0)
+	for r := range affected {
+		if num[r] != 0 {
+			continue
+		}
+		next++
+		num[r], low[r] = next, next
+		stack = append(stack, int32(r))
+		frames = append(frames, sccFrame{u: int32(r), rest: o.sg.InSlice(affected[r])})
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			u := f.u
+			if len(f.rest) > 0 {
+				v := f.rest[0]
+				f.rest = f.rest[1:]
+				w := sc.pos[v]
+				if int(w) >= n || affected[w] != v {
+					panic("influence: Singletons needs a predecessor-closed node set")
+				}
+				switch {
+				case num[w] == 0:
+					next++
+					num[w], low[w] = next, next
+					stack = append(stack, w)
+					frames = append(frames, sccFrame{u: w, rest: o.sg.InSlice(v)})
+				case comp[w] < 0: // on the stack: w shares u's SCC
+					low[u] = min(low[u], num[w])
+				}
+				continue
+			}
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				p := frames[len(frames)-1].u
+				low[p] = min(low[p], low[u])
+			}
+			if low[u] == num[u] {
+				c := int32(len(start))
+				start = append(start, int32(len(members)))
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					comp[w] = c
+					members = append(members, w)
+					if w == u {
+						break
+					}
+				}
+			}
+		}
+	}
+	nc := len(start)
+	start = append(start, int32(n))
+	sc.frames, sc.stack, sc.members, sc.start = frames, stack, members, start
+
+	hub := int32(-1)
+	for c := int32(0); c < int32(nc); c++ {
+		if size := start[c+1] - start[c]; size > 1 && (hub < 0 || size > start[hub+1]-start[hub]) {
+			hub = c
+		}
+	}
+
+	// Sinks first. Handling C pushes what its in-edges say about each
+	// predecessor SCC, so C's own cross, succ and toHub are complete by
+	// the time C comes up.
+	cross, succ, toHub, out := fit(sc.cross, nc), fit(sc.succ, nc), fit(sc.toHub, nc), fit(sc.out, n)
+	clear(cross)
+	clear(toHub)
+	for c := range succ {
+		succ[c] = noSucc
+	}
+	for c := int32(nc) - 1; c >= 0; c-- {
+		ms := members[start[c]:start[c+1]]
+		toHub[c] = toHub[c] || c == hub
+		// leave counts C's out-edges to nodes outside the affected set:
+		// out-degree, less edges inside C, less edges into other SCCs.
+		leave := -int(cross[c])
+		for _, i := range ms {
+			v := affected[i]
+			leave += len(o.sg.OutSlice(v))
+			for _, w := range o.sg.InSlice(v) {
+				cw := comp[sc.pos[w]]
+				if cw == c {
+					leave--
+					continue
+				}
+				cross[cw]++
+				if succ[cw] == noSucc {
+					succ[cw] = c
+				} else if succ[cw] != c {
+					succ[cw] = manySucc
+				}
+				toHub[cw] = toHub[cw] || toHub[c]
+			}
+		}
+		rep := affected[ms[0]]
+		var f int
+		switch {
+		case c == hub:
+			f = o.FillReachSet(&sc.hub, rep)
+		case leave == 0 && succ[c] == noSucc:
+			f = len(ms)
+		case leave == 0 && succ[c] >= 0:
+			f = len(ms) + out[members[start[succ[c]]]]
+		case toHub[c]:
+			f = sc.hub.Len() + o.MarginalGain(&sc.hub, rep, false)
+		default:
+			f = o.Spread(rep)
+		}
+		for _, i := range ms {
+			out[i] = f
+		}
+	}
+	sc.cross, sc.succ, sc.toHub, sc.out = cross, succ, toHub, out
+	sc.num, sc.low, sc.comp = num, low, comp
 	return out
 }

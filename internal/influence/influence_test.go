@@ -315,3 +315,35 @@ func TestVisitedGrowsWithGraph(t *testing.T) {
 		t.Fatalf("Spread after growth = %d", got)
 	}
 }
+
+// TestOracleSteadyStateAllocatesNothing pins the package's performance
+// claim: once its scratch has grown, no evaluation on a graph.ADN
+// allocates.
+func TestOracleSteadyStateAllocatesNothing(t *testing.T) {
+	g := benchGraph(2000, 6000)
+	o := New(g, nil)
+	rs, grow := NewReachSet(), NewReachSet()
+	o.FillReachSet(rs, 0, 1)
+	var outside ids.NodeID
+	for rs.Contains(outside) {
+		outside++
+	}
+	edges := []Endpoints{{Src: 2, Dst: outside}}
+	sc := new(SingletonScratch)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Spread", func() { o.Spread(3, 4) }},
+		{"FillReachSet", func() { o.FillReachSet(grow, 5) }},
+		{"MarginalGain", func() { o.MarginalGain(rs, outside, false) }},
+		{"Update", func() { o.FillReachSet(grow, 2); o.Update(grow, edges) }},
+		{"Affected", func() { o.Affected([]ids.NodeID{6, 7}) }},
+		{"Singletons", func() { o.Singletons(o.Affected([]ids.NodeID{6, 7}), sc) }},
+	} {
+		tc.run() // grow the scratch
+		if a := testing.AllocsPerRun(20, tc.run); a != 0 {
+			t.Errorf("%s: %.1f allocations per run, want 0", tc.name, a)
+		}
+	}
+}

@@ -130,11 +130,12 @@ func ingestBody(w *worker, rr stream.RecordReader, maxChunk int, tr *obs.Trace) 
 	// Decode time is accounted a chunk at a time — the span between
 	// flushes is the reader pulling and parsing this chunk's records —
 	// two clock reads per chunk instead of two per record. The chunk
-	// buffer is allocated inside the first span and reused after each
-	// flush (internAndEnqueue copies it out), so no request time falls
-	// between stages.
+	// buffer grows by append inside those spans, so no request time
+	// falls between stages and a small body allocates only what it
+	// holds; it is reused after each flush (internAndEnqueue copies it
+	// out).
 	decodeStart := time.Now()
-	raws := make([]rawRecord, 0, maxChunk)
+	var raws []rawRecord
 	// Durability is settled once per request, not per chunk: flush
 	// tracks the last WAL token and finish commits it before any
 	// return that acknowledges records — wal.Commit(t) covers every

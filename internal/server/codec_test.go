@@ -3,7 +3,11 @@ package server
 import (
 	"compress/gzip"
 	"errors"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -154,5 +158,54 @@ func TestIngestBodyDecodeErrorKeepsPrefix(t *testing.T) {
 	// failure be told apart from a body-size-limit truncation (413).
 	if w.m.malformed.Load() != 0 {
 		t.Fatalf("malformed = %d, want 0 (counted by the handler, not ingestBody)", w.m.malformed.Load())
+	}
+}
+
+// TestIngestAllocBytesPerRequest pins what a small ingest request costs
+// the heap: a 100-record body must not pay up front for a MaxChunk-row
+// chunk buffer or a 64 KiB scanner buffer. Each request goes through
+// Handler(), so the figure covers routing, decoding, interning, the
+// queue and the tracker step its records trigger.
+func TestIngestAllocBytesPerRequest(t *testing.T) {
+	spec := testSpec("alloc")
+	spec.TimeMode = TimeArrival
+	spec.Tracker = tdnstream.TrackerSpec{Algo: "sieveadn", K: 5, Eps: 0.2}
+	s, err := New(Config{Streams: []StreamSpec{spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	w, _ := s.stream("alloc")
+
+	var b strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&b, "{\"src\":\"n%d\",\"dst\":\"n%d\"}\n", i%20, (i*7+1)%20)
+	}
+	body := b.String()
+	sent := uint64(0)
+	ingest := func(n int) {
+		for i := 0; i < n; i++ {
+			rr := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/v1/ingest?stream=alloc", strings.NewReader(body))
+			req.Header.Set("Content-Type", ctNDJSON)
+			s.Handler().ServeHTTP(rr, req)
+			if rr.Code != http.StatusOK {
+				t.Fatalf("ingest: %d: %s", rr.Code, rr.Body)
+			}
+			sent += 100
+		}
+		waitProcessed(t, w, sent)
+	}
+
+	ingest(50) // labels interned, buffers and pools warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const requests = 300
+	ingest(requests)
+	runtime.ReadMemStats(&after)
+	perReq := (after.TotalAlloc - before.TotalAlloc) / requests
+	t.Logf("%d bytes allocated per 100-record request", perReq)
+	if perReq >= 128<<10 {
+		t.Errorf("a 100-record request allocates %d bytes, want < %d", perReq, 128<<10)
 	}
 }

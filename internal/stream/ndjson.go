@@ -35,10 +35,11 @@ type ndjsonReader struct {
 }
 
 // NewNDJSONReader returns a RecordReader over NDJSON input. Blank lines
-// are skipped; lines may be up to 1 MiB.
+// are skipped; lines may be up to 1 MiB. The line buffer starts small and
+// grows only as long lines need it.
 func NewNDJSONReader(r io.Reader) RecordReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	return &ndjsonReader{sc: sc}
 }
 
