@@ -47,6 +47,26 @@
 // that reaches it. `go test -run '^$' -bench . ./internal/influence
 // ./internal/core` runs the micro-benchmarks.
 //
+// HISTAPPROX recycles what it kills. Each adjacency page counts the
+// graphs that reference it, so a write copies a page only while another
+// live graph still shares it. An instance the redundancy reduction
+// kills, one that expires, and the clone a refined query feeds are
+// released at once: every page no other instance references goes to a
+// per-tracker pool, and the next clone is built in the released storage
+// (page tables, candidates, member lists, inSet maps, reach-set words),
+// taking its page copies from the pool. Every instance keeps its own
+// oracle over its own graph, but the BFS buffers, the singleton pass's
+// scratch and the batch buffers are one per tracker, since a tracker
+// feeds its instances one at a time. Each instance keeps its value
+// max f(S_θ) current, so the reduction reads it once per instance. On
+// the paper's setting (twitter-higgs, Geo(0.001), L=10K, k=10, ε=0.2) a
+// steady-state step allocates about 5 KB in 85 objects, down from
+// 123 KB. That rate matters to queries too: on a 2-CPU host the daemon
+// answers them on the CPUs its worker steps on, and each collection the
+// worker's garbage starts takes a quarter of those CPUs for marking and
+// slows every goroutine with its write barrier, so the worker's
+// allocation rate, not the query path, sets the query tail.
+//
 // # Serving
 //
 // cmd/influtrackd turns the library into an online service: it hosts

@@ -28,9 +28,9 @@ type BasicReduction struct {
 	insts map[int64]*Sieve // deadline -> instance
 
 	scratch []stream.Edge // lifetime-sorted batch, reused
-	// scc is the singleton-pass scratch every instance shares: Step
-	// feeds them one at a time.
-	scc *influence.SingletonScratch
+	// sc is the Feed scratch every instance shares: Step feeds them one
+	// at a time.
+	sc *feedScratch
 }
 
 // NewBasicReduction returns a BASICREDUCTION tracker with budget k, sieve
@@ -44,7 +44,7 @@ func NewBasicReduction(k int, eps float64, L int, calls *metrics.Counter) *Basic
 		calls = &metrics.Counter{}
 	}
 	return &BasicReduction{k: k, eps: eps, L: L, calls: calls, insts: make(map[int64]*Sieve),
-		scc: new(influence.SingletonScratch)}
+		sc: newFeedScratch()}
 }
 
 // Step implements Tracker.
@@ -67,7 +67,7 @@ func (b *BasicReduction) Step(t int64, edges []stream.Edge) error {
 	}
 	for d := t + 1; d <= t+int64(b.L); d++ {
 		if _, ok := b.insts[d]; !ok {
-			b.insts[d] = newSieve(b.k, b.eps, b.calls, b.scc)
+			b.insts[d] = newSieve(b.k, b.eps, b.calls, b.sc, nil)
 		}
 	}
 

@@ -21,13 +21,7 @@ type SeedContribution struct {
 // contributions. It costs up to 2k oracle calls (one marginal and one
 // singleton evaluation per seed).
 func (s *Sieve) Explain() []SeedContribution {
-	var best *sieveCand
-	for _, c := range s.cands {
-		if best == nil || c.reach.Len() > best.reach.Len() ||
-			(c.reach.Len() == best.reach.Len() && c.exp < best.exp) {
-			best = c
-		}
-	}
+	best := s.best()
 	if best == nil || len(best.members) == 0 {
 		return nil
 	}

@@ -37,6 +37,10 @@ type HistApprox struct {
 	begun bool
 	insts map[int64]*Sieve
 	xs    []int64 // sorted instance deadlines (ascending = index ascending)
+	// spare holds instances the reduce killed, expired ones and the
+	// query-time refinement clones, released for createInstance and
+	// Solution to clone into.
+	spare []*Sieve
 
 	// store holds the live edges of the global TDN, bucketed by expiry, so
 	// freshly created instances can be fed their backlog (Alg. 3 line 15).
@@ -54,9 +58,19 @@ type HistApprox struct {
 	groupPool [][]stream.Edge
 	lifetimes []int // sorted lifetime classes of the current batch, reused
 
-	// scc is the singleton-pass scratch every instance shares: instances
-	// are fed one at a time, and clones inherit it.
-	scc *influence.SingletonScratch
+	// sc is the Feed scratch every instance shares: instances are fed one
+	// at a time, and clones inherit it. pool holds the adjacency pages
+	// that released instances gave back, for the family's page copies.
+	sc   *feedScratch
+	pool *graph.PagePool
+
+	// Reused buffers: the pairs of the group being processed, the backlog
+	// a new or refined instance is fed, and reduceRedundancy's values and
+	// suffix maxima.
+	pairs   []Pair
+	backlog []Pair
+	vals    []int
+	sufMax  []int
 }
 
 // NewHistApprox returns a HISTAPPROX tracker with budget k, granularity
@@ -76,7 +90,8 @@ func NewHistApprox(k int, eps float64, L int, calls *metrics.Counter) *HistAppro
 		calls:  calls,
 		insts:  make(map[int64]*Sieve),
 		groups: make(map[int][]stream.Edge),
-		scc:    new(influence.SingletonScratch),
+		sc:     newFeedScratch(),
+		pool:   new(graph.PagePool),
 	}
 }
 
@@ -92,19 +107,16 @@ func (h *HistApprox) Step(t int64, edges []stream.Edge) error {
 	h.t = t
 
 	// Advance the clock: expire stored edges, terminate dead instances.
+	// Their deadlines are a prefix of the sorted xs.
 	if err := h.store.AdvanceTo(t); err != nil {
 		return err
 	}
-	for d := range h.insts {
-		if d <= t {
-			delete(h.insts, d)
-		}
+	dead := 0
+	for dead < len(h.xs) && h.xs[dead] <= t {
+		h.retire(h.xs[dead])
+		dead++
 	}
-	h.xs = h.xs[:0]
-	for d := range h.insts {
-		h.xs = append(h.xs, d)
-	}
-	sort.Slice(h.xs, func(i, j int) bool { return h.xs[i] < h.xs[j] })
+	h.xs = append(h.xs[:0], h.xs[dead:]...)
 
 	if len(edges) == 0 {
 		return nil
@@ -166,33 +178,33 @@ func (h *HistApprox) processGroup(l int, group []stream.Edge) {
 		h.createInstance(d)
 	}
 	// Feed the group to every instance with index ≤ l (deadline ≤ d).
-	eps := endpointsOf(group)
+	h.pairs = appendEndpoints(h.pairs[:0], group)
 	for _, dd := range h.xs {
 		if dd > d {
 			break
 		}
-		h.insts[dd].Feed(eps)
+		h.insts[dd].Feed(h.pairs)
 	}
 	h.reduceRedundancy()
 }
 
 // createInstance inserts a new instance at deadline d (Alg. 3 lines 9-16):
 // either fresh (no successor) or a successor clone fed its backlog — the
-// live edges with expiry in [d, successor deadline).
+// live edges with expiry in [d, successor deadline). Both reuse a spare
+// instance when there is one.
 func (h *HistApprox) createInstance(d int64) {
 	// Successor: smallest kept deadline > d.
 	succIdx := sort.Search(len(h.xs), func(i int) bool { return h.xs[i] > d })
 	var inst *Sieve
 	if succIdx == len(h.xs) {
-		inst = newSieve(h.k, h.eps, h.calls, h.scc)
+		inst = h.takeSpare()
+		if inst == nil {
+			inst = newSieve(h.k, h.eps, h.calls, h.sc, h.pool)
+		}
 	} else {
 		succ := h.xs[succIdx]
-		inst = h.insts[succ].Clone()
-		var backlog []Pair
-		h.store.ForEachEdgeExpiringIn(d, succ, func(e stream.Edge) {
-			backlog = append(backlog, Pair{e.Src, e.Dst})
-		})
-		if len(backlog) > 0 {
+		inst = h.cloneOf(h.insts[succ])
+		if backlog := h.expiringIn(d, succ); len(backlog) > 0 {
 			inst.Feed(backlog)
 		}
 	}
@@ -202,32 +214,108 @@ func (h *HistApprox) createInstance(d int64) {
 	h.xs[succIdx] = d
 }
 
+// expiringIn returns the live edges whose expiry lies in [lo, hi), in a
+// buffer the next call reuses.
+func (h *HistApprox) expiringIn(lo, hi int64) []Pair {
+	h.backlog = h.backlog[:0]
+	h.store.ForEachEdgeExpiringIn(lo, hi, func(e stream.Edge) {
+		h.backlog = append(h.backlog, Pair{e.Src, e.Dst})
+	})
+	return h.backlog
+}
+
+// cloneOf returns a clone of src, built in a spare instance's storage
+// when there is one.
+func (h *HistApprox) cloneOf(src *Sieve) *Sieve {
+	if inst := h.takeSpare(); inst != nil {
+		src.cloneInto(inst)
+		return inst
+	}
+	return src.Clone()
+}
+
+// takeSpare returns a released, empty instance, or nil.
+func (h *HistApprox) takeSpare() *Sieve {
+	n := len(h.spare)
+	if n == 0 {
+		return nil
+	}
+	inst := h.spare[n-1]
+	h.spare[n-1] = nil
+	h.spare = h.spare[:n-1]
+	return inst
+}
+
+// release empties inst and keeps it for reuse. Releasing its graph at
+// once matters beyond the reuse: a page it shared with a neighbour stops
+// being shared, so the neighbour's next write there needs no copy.
+func (h *HistApprox) release(inst *Sieve) {
+	inst.release()
+	h.spare = append(h.spare, inst)
+}
+
+// retire removes the instance at deadline d from the map and releases it;
+// the caller removes d from xs.
+func (h *HistApprox) retire(d int64) {
+	h.release(h.insts[d])
+	delete(h.insts, d)
+}
+
 // reduceRedundancy is Alg. 3 lines 19-22: for each kept index i, find the
 // largest kept j > i with g(j) ≥ (1−ε)g(i) and kill everything strictly
-// between them.
+// between them. Each instance's value is read once. A kill only removes
+// indices between i and j, so the survivors after i are the original
+// indices from j on, and the suffix maxima over the original list stay
+// exact for them: the largest j with g(j) ≥ θ is the last index whose
+// suffix maximum reaches θ, found by binary search since suffix maxima
+// never increase.
 func (h *HistApprox) reduceRedundancy() {
-	for i := 0; i < len(h.xs); i++ {
-		gi := float64(h.insts[h.xs[i]].Value())
-		best := -1
-		for j := len(h.xs) - 1; j > i; j-- {
-			if float64(h.insts[h.xs[j]].Value()) >= (1-h.eps)*gi {
-				best = j
-				break
-			}
-		}
-		if best > i+1 {
-			for m := i + 1; m < best; m++ {
-				delete(h.insts, h.xs[m])
-				h.kills++
-			}
-			h.xs = append(h.xs[:i+1], h.xs[best:]...)
-		}
+	n := len(h.xs)
+	if n < 3 {
+		return
 	}
+	vals := h.vals[:0]
+	for _, d := range h.xs {
+		vals = append(vals, h.insts[d].Value())
+	}
+	suf := append(h.sufMax[:0], vals...)
+	for j := n - 2; j >= 0; j-- {
+		suf[j] = max(suf[j], suf[j+1])
+	}
+	h.vals, h.sufMax = vals, suf
+
+	kept := 0
+	for i := 0; i < n; {
+		h.xs[kept] = h.xs[i]
+		kept++
+		theta := (1 - h.eps) * float64(vals[i])
+		lo, hi := i+1, n // first j > i whose suffix maximum is below θ
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if float64(suf[m]) >= theta {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		best := lo - 1
+		if best <= i+1 {
+			i++
+			continue
+		}
+		for _, d := range h.xs[i+1 : best] {
+			h.retire(d)
+			h.kills++
+		}
+		i = best
+	}
+	h.xs = h.xs[:kept]
 }
 
 // Solution implements Tracker: the output of the head instance A_{x1}
 // (Alg. 3 line 4), optionally refined with its unprocessed short-lifetime
-// edges when RefineHead is set.
+// edges when RefineHead is set. The refinement feeds a clone of the head,
+// which is released once it has answered.
 func (h *HistApprox) Solution() Solution {
 	if len(h.xs) == 0 {
 		return Solution{}
@@ -236,14 +324,12 @@ func (h *HistApprox) Solution() Solution {
 	inst := h.insts[head]
 	if h.RefineHead && head > h.t+1 {
 		// The head missed live edges with remaining lifetime < head-t.
-		var missed []Pair
-		h.store.ForEachEdgeExpiringIn(h.t+1, head, func(e stream.Edge) {
-			missed = append(missed, Pair{e.Src, e.Dst})
-		})
-		if len(missed) > 0 {
-			refined := inst.Clone()
+		if missed := h.expiringIn(h.t+1, head); len(missed) > 0 {
+			refined := h.cloneOf(inst)
 			refined.Feed(missed)
-			return refined.Solution()
+			sol := refined.Solution()
+			h.release(refined)
+			return sol
 		}
 	}
 	return inst.Solution()

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"tdnstream/internal/graph"
 	"tdnstream/internal/ids"
@@ -94,27 +96,44 @@ func (s *Sieve) snapshot() sieveSnap {
 // non-empty candidate's reach set on the restored graph (one oracle call
 // each).
 func restoreSieve(snap sieveSnap, calls *metrics.Counter) (*Sieve, error) {
+	return restoreSieveIn(snap, calls, newFeedScratch(), nil)
+}
+
+// restoreSieveIn is restoreSieve for an instance of a tracker: it shares
+// the tracker's Feed scratch and draws its pages from the tracker's pool.
+func restoreSieveIn(snap sieveSnap, calls *metrics.Counter, sc *feedScratch, pool *graph.PagePool) (*Sieve, error) {
 	if snap.K < 1 || snap.Eps <= 0 || snap.Eps >= 1 {
 		return nil, fmt.Errorf("core: corrupt sieve snapshot (k=%d eps=%g)", snap.K, snap.Eps)
 	}
-	s := NewSieve(snap.K, snap.Eps, calls)
+	cands := slices.Clone(snap.Cands)
+	slices.SortFunc(cands, func(a, b candSnap) int { return cmp.Compare(a.Exp, b.Exp) })
+	for i := 1; i < len(cands); i++ {
+		if cands[i].Exp != cands[i-1].Exp+1 {
+			return nil, fmt.Errorf("core: corrupt sieve snapshot: threshold exponents %d and %d are not adjacent",
+				cands[i-1].Exp, cands[i].Exp)
+		}
+	}
+	s := newSieve(snap.K, snap.Eps, calls, sc, pool)
 	for _, key := range snap.Pairs {
 		u, v := ids.SplitEdgeKey(key)
 		s.g.AddEdge(u, v)
 	}
 	s.g.RestoreInteractions(snap.Interactions)
 	s.delta = snap.Delta
-	for _, cs := range snap.Cands {
+	for _, cs := range cands {
 		c := s.newCand(cs.Exp)
-		c.members = append([]ids.NodeID(nil), cs.Members...)
+		c.members = append(c.members, cs.Members...)
 		for _, m := range cs.Members {
 			c.inSet[m] = struct{}{}
 		}
 		if len(c.members) > 0 {
 			s.oracle.FillReachSet(c.reach, c.members...)
 		}
-		s.cands[cs.Exp] = c
-		s.candsDirty = true
+		s.cands = append(s.cands, c)
+		s.value = max(s.value, c.reach.Len())
+	}
+	if len(cands) > 0 {
+		s.lo = cands[0].Exp
 	}
 	return s, nil
 }
@@ -177,14 +196,17 @@ func ReadHistApproxSnapshot(r io.Reader, calls *metrics.Counter) (*HistApprox, e
 		if d <= snap.T {
 			return nil, fmt.Errorf("core: corrupt snapshot: dead instance deadline %d at t=%d", d, snap.T)
 		}
-		inst, err := restoreSieve(snap.Instances[i], h.calls)
+		if _, dup := h.insts[d]; dup {
+			return nil, fmt.Errorf("core: corrupt snapshot: deadline %d twice", d)
+		}
+		inst, err := restoreSieveIn(snap.Instances[i], h.calls, h.sc, h.pool)
 		if err != nil {
 			return nil, err
 		}
-		inst.scc = h.scc
 		h.insts[d] = inst
 		h.xs = append(h.xs, d)
 	}
+	slices.Sort(h.xs)
 	return h, nil
 }
 
@@ -226,11 +248,10 @@ func ReadBasicReductionSnapshot(r io.Reader, calls *metrics.Counter) (*BasicRedu
 	b.t = snap.T
 	b.begun = snap.Begun
 	for i, d := range snap.Deadlines {
-		inst, err := restoreSieve(snap.Instances[i], b.calls)
+		inst, err := restoreSieveIn(snap.Instances[i], b.calls, b.sc, nil)
 		if err != nil {
 			return nil, err
 		}
-		inst.scc = b.scc
 		b.insts[d] = inst
 	}
 	return b, nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"tdnstream/internal/graph"
 	"tdnstream/internal/ids"
@@ -30,22 +29,38 @@ type Sieve struct {
 	oracle *influence.Oracle
 
 	delta int // Δ: max singleton spread observed so far
-	// cands is keyed by threshold exponent i (θ_i = (1+ε)^i / (2k)).
-	cands map[int]*sieveCand
+	// value is max_θ f(S_θ), brought up to date at the end of every Feed
+	// that adds an edge: reach sets only change there.
+	value int
+	// cands is Θ, one window of threshold exponents in ascending order:
+	// cands[i] is the candidate of θ_{lo+i} (θ_i = (1+ε)^i / (2k)).
+	lo    int
+	cands []*sieveCand
+	// next is the spare backing array refreshThresholds builds a moved
+	// window in; spare keeps the candidates that left the window, and a
+	// released instance's, for reuse.
+	next  []*sieveCand
+	spare []*sieveCand
 
-	// scratch reused across batches
+	// sc is Feed's working memory. A tracker feeds its instances one at
+	// a time, so BasicReduction and HistApprox give all of theirs one,
+	// and Clone hands it on.
+	sc *feedScratch
+}
+
+// feedScratch is the working memory of Sieve.Feed: the oracle's BFS
+// buffers, the singleton pass's scratch, and the batch's new pairs and
+// their distinct sources. Nothing in it outlives one Feed.
+type feedScratch struct {
+	bfs      influence.Scratch
+	scc      influence.SingletonScratch
 	newPairs []influence.Endpoints
 	srcSet   map[ids.NodeID]struct{}
 	srcs     []ids.NodeID
-	// scc is the singleton pass's scratch. A tracker feeds its instances
-	// one at a time, so BasicReduction and HistApprox give all of theirs
-	// one scratch, and Clone hands it on.
-	scc *influence.SingletonScratch
-	// candList is the slice view of cands, sorted by exponent; it is
-	// rebuilt lazily only when candsDirty (thresholds entered/left the
-	// window) instead of being re-snapshotted every batch.
-	candList   []*sieveCand
-	candsDirty bool
+}
+
+func newFeedScratch() *feedScratch {
+	return &feedScratch{srcSet: make(map[ids.NodeID]struct{})}
 }
 
 type sieveCand struct {
@@ -56,45 +71,42 @@ type sieveCand struct {
 	reach   *influence.ReachSet // R(S); Len() == f(S), always current
 }
 
-func (c *sieveCand) clone() *sieveCand {
-	d := &sieveCand{
-		exp:     c.exp,
-		theta:   c.theta,
-		members: append([]ids.NodeID(nil), c.members...),
-		inSet:   make(map[ids.NodeID]struct{}, len(c.inSet)),
-		reach:   c.reach.Clone(),
-	}
+// cloneInto makes d a copy of c, reusing d's member slice, inSet map and
+// reach words.
+func (c *sieveCand) cloneInto(d *sieveCand) {
+	d.exp = c.exp
+	d.theta = c.theta
+	d.members = append(d.members[:0], c.members...)
+	clear(d.inSet)
 	for n := range c.inSet {
 		d.inSet[n] = struct{}{}
 	}
-	return d
+	d.reach.CopyFrom(c.reach)
 }
 
 // NewSieve returns an empty SIEVEADN instance. k is the seed budget,
 // eps the sieve granularity ε ∈ (0,1); calls is the shared oracle-call
 // counter (may be nil).
 func NewSieve(k int, eps float64, calls *metrics.Counter) *Sieve {
-	return newSieve(k, eps, calls, new(influence.SingletonScratch))
+	return newSieve(k, eps, calls, newFeedScratch(), nil)
 }
 
-// newSieve is NewSieve with the singleton pass's scratch supplied, for
-// trackers whose instances share one.
-func newSieve(k int, eps float64, calls *metrics.Counter, scc *influence.SingletonScratch) *Sieve {
+// newSieve is NewSieve for trackers whose instances share one Feed
+// scratch, with graph pages drawn from pool (nil: the heap).
+func newSieve(k int, eps float64, calls *metrics.Counter, sc *feedScratch, pool *graph.PagePool) *Sieve {
 	if k < 1 {
 		panic("core: k must be ≥ 1")
 	}
 	if eps <= 0 || eps >= 1 {
 		panic("core: eps must be in (0,1)")
 	}
-	g := graph.NewADN()
+	g := graph.NewPooledADN(pool)
 	return &Sieve{
 		k:      k,
 		eps:    eps,
 		g:      g,
-		oracle: influence.New(g, calls),
-		cands:  make(map[int]*sieveCand),
-		srcSet: make(map[ids.NodeID]struct{}),
-		scc:    scc,
+		oracle: influence.NewShared(g, calls, &sc.bfs),
+		sc:     sc,
 	}
 }
 
@@ -139,39 +151,40 @@ func (s *Sieve) expRange() (lo, hi int) {
 
 // Feed processes one batch of edges arriving together (Alg. 1 lines 2-11).
 func (s *Sieve) Feed(batch []Pair) {
+	sc := s.sc
 	// Add edges; only new directed pairs can change reachability.
-	s.newPairs = s.newPairs[:0]
+	sc.newPairs = sc.newPairs[:0]
 	for _, e := range batch {
 		if s.g.AddEdge(e.Src, e.Dst) {
-			s.newPairs = append(s.newPairs, influence.Endpoints{Src: e.Src, Dst: e.Dst})
+			sc.newPairs = append(sc.newPairs, influence.Endpoints{Src: e.Src, Dst: e.Dst})
 		}
 	}
-	if len(s.newPairs) == 0 {
+	if len(sc.newPairs) == 0 {
 		return
 	}
 
 	// Bring every candidate's cached R(S) (hence f(S)) up to date.
-	for _, c := range s.candidates() {
-		s.oracle.Update(c.reach, s.newPairs)
+	for _, c := range s.cands {
+		s.oracle.Update(c.reach, sc.newPairs)
 	}
 
 	// V̄t: nodes whose spread changed = nodes reaching any new-edge source.
-	clear(s.srcSet)
-	s.srcs = s.srcs[:0]
-	for _, e := range s.newPairs {
-		if _, dup := s.srcSet[e.Src]; !dup {
-			s.srcSet[e.Src] = struct{}{}
-			s.srcs = append(s.srcs, e.Src)
+	clear(sc.srcSet)
+	sc.srcs = sc.srcs[:0]
+	for _, e := range sc.newPairs {
+		if _, dup := sc.srcSet[e.Src]; !dup {
+			sc.srcSet[e.Src] = struct{}{}
+			sc.srcs = append(sc.srcs, e.Src)
 		}
 	}
-	affected := s.oracle.Affected(s.srcs)
+	affected := s.oracle.Affected(sc.srcs)
 
 	// Lines 4-7: refresh Δ and the lazy threshold set. The singleton
 	// spreads come from one SCC pass over the affected subgraph and are
 	// kept: submodularity gives δ_S(v) ≤ f({v}), which lets the sieve
 	// below skip thresholds no candidate test could pass without spending
 	// an oracle call (the decision is unchanged).
-	singles := s.oracle.Singletons(affected, s.scc)
+	singles := s.oracle.Singletons(affected, &sc.scc)
 	for _, f := range singles {
 		if f > s.delta {
 			s.delta = f
@@ -182,13 +195,19 @@ func (s *Sieve) Feed(batch []Pair) {
 	// Lines 8-11: sieve each affected node through every threshold. The
 	// loop is serial on purpose: a node's work is at most |Θ| cheap
 	// MarginalGain calls, below the cost of a goroutine fan-out, and
-	// shard.Engine is the intra-stream parallelism.
-	cands := s.candidates()
+	// shard.Engine is the intra-stream parallelism. Candidate tests are
+	// mutually independent, so the exponent order changes no decision; it
+	// only makes runs deterministic.
 	for i, v := range affected {
 		sv := float64(singles[i])
-		for _, c := range cands {
+		for _, c := range s.cands {
 			s.testCandidate(c, v, sv)
 		}
+	}
+
+	s.value = 0
+	for _, c := range s.cands {
+		s.value = max(s.value, c.reach.Len())
 	}
 }
 
@@ -211,61 +230,70 @@ func (s *Sieve) testCandidate(c *sieveCand, v ids.NodeID, sv float64) {
 	}
 }
 
-// candidates returns the current candidate list sorted by exponent,
-// rebuilding it only after the threshold window changed. Candidate tests
-// are mutually independent, so a stable order changes no decision — it
-// just makes runs deterministic and saves the per-batch re-snapshot.
-func (s *Sieve) candidates() []*sieveCand {
-	if s.candsDirty {
-		s.candList = s.candList[:0]
-		for _, c := range s.cands {
-			s.candList = append(s.candList, c)
-		}
-		sort.Slice(s.candList, func(i, j int) bool { return s.candList[i].exp < s.candList[j].exp })
-		s.candsDirty = false
-	}
-	return s.candList
-}
-
 // refreshThresholds drops candidates whose threshold left the window and
 // creates empty candidates for thresholds that entered it (Alg. 1 line 6).
+// Δ only grows, so the window only slides up, and rarely moves at all.
 func (s *Sieve) refreshThresholds() {
 	if s.delta < 1 {
 		return
 	}
 	lo, hi := s.expRange()
-	for exp := range s.cands {
-		if exp < lo || exp > hi {
-			delete(s.cands, exp)
-			s.candsDirty = true
-		}
+	if lo == s.lo && hi-lo+1 == len(s.cands) {
+		return
 	}
+	next := s.next[:0]
 	for exp := lo; exp <= hi; exp++ {
-		if _, ok := s.cands[exp]; !ok {
-			s.cands[exp] = s.newCand(exp)
-			s.candsDirty = true
+		if i := exp - s.lo; i >= 0 && i < len(s.cands) {
+			next = append(next, s.cands[i])
+			s.cands[i] = nil
+		} else {
+			next = append(next, s.newCand(exp))
 		}
 	}
+	for i, c := range s.cands {
+		if c != nil {
+			s.spare = append(s.spare, c)
+			s.cands[i] = nil
+		}
+	}
+	s.cands, s.next, s.lo = next, s.cands[:0], lo
 }
 
 // newCand returns an empty candidate for threshold exponent exp.
 func (s *Sieve) newCand(exp int) *sieveCand {
-	return &sieveCand{
-		exp:   exp,
-		theta: s.threshold(exp),
-		inSet: make(map[ids.NodeID]struct{}),
-		reach: influence.NewReachSet(),
+	c := s.takeCand()
+	c.exp = exp
+	c.theta = s.threshold(exp)
+	c.members = c.members[:0]
+	clear(c.inSet)
+	c.reach.Reset()
+	return c
+}
+
+// takeCand returns a spare candidate as it is, or a new empty one, for a
+// caller that sets every field.
+func (s *Sieve) takeCand() *sieveCand {
+	if n := len(s.spare); n > 0 {
+		c := s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+		return c
 	}
+	return &sieveCand{inSet: make(map[ids.NodeID]struct{}), reach: influence.NewReachSet()}
 }
 
 // Value returns max_θ f(S_θ) — the value of the instance's current output
-// (the paper's g_t(l) for the instance at index l). Free: reach sets are
-// kept current, so no oracle call is spent.
-func (s *Sieve) Value() int {
-	best := 0
+// (the paper's g_t(l) for the instance at index l). Free: it is kept
+// current by Feed, so no oracle call is spent and no candidate is read.
+func (s *Sieve) Value() int { return s.value }
+
+// best returns the candidate with the largest f(S), the lowest exponent
+// among equals, or nil when Θ is empty.
+func (s *Sieve) best() *sieveCand {
+	var best *sieveCand
 	for _, c := range s.cands {
-		if c.reach.Len() > best {
-			best = c.reach.Len()
+		if best == nil || c.reach.Len() > best.reach.Len() {
+			best = c
 		}
 	}
 	return best
@@ -273,13 +301,7 @@ func (s *Sieve) Value() int {
 
 // Solution returns the best candidate set and its value (Alg. 1 line 12).
 func (s *Sieve) Solution() Solution {
-	var best *sieveCand
-	for _, c := range s.cands {
-		if best == nil || c.reach.Len() > best.reach.Len() ||
-			(c.reach.Len() == best.reach.Len() && c.exp < best.exp) {
-			best = c
-		}
-	}
+	best := s.best()
 	if best == nil {
 		return Solution{}
 	}
@@ -287,26 +309,42 @@ func (s *Sieve) Solution() Solution {
 }
 
 // Clone copies the instance — graph, candidates, Δ — sharing only the
-// oracle-call counter and the singleton pass's scratch. The graph copy
-// is copy-on-write (see graph.ADN.Clone) and each candidate's reach set
-// clones with one word-array copy, so the whole operation is
-// O(nodes + |Θ|·(nodes/64 + k)) rather than O(edges). HISTAPPROX uses
+// oracle-call counter and Feed's scratch. The graph copy is copy-on-write
+// (see graph.ADN.Clone) and each candidate's reach set clones with one
+// word-array copy, so the whole operation is
+// O(nodes/64 + |Θ|·(nodes/64 + k)) rather than O(edges). HISTAPPROX uses
 // this to create an instance from its successor (paper Fig. 6c).
 func (s *Sieve) Clone() *Sieve {
-	g := s.g.Clone()
-	c := &Sieve{
-		k:          s.k,
-		eps:        s.eps,
-		g:          g,
-		oracle:     influence.New(g, s.oracle.Calls()),
-		delta:      s.delta,
-		cands:      make(map[int]*sieveCand, len(s.cands)),
-		srcSet:     make(map[ids.NodeID]struct{}),
-		scc:        s.scc,
-		candsDirty: true,
-	}
-	for exp, cand := range s.cands {
-		c.cands[exp] = cand.clone()
-	}
+	g := new(graph.ADN)
+	c := &Sieve{g: g, oracle: influence.NewShared(g, s.oracle.Calls(), &s.sc.bfs), sc: s.sc}
+	s.cloneInto(c)
 	return c
+}
+
+// cloneInto makes dst what Clone would return, reusing dst's storage:
+// its graph's page tables and bitset, and its candidates' member lists,
+// inSet maps and reach words. dst must share s's counter and scratch, as
+// every instance of one tracker does; its oracle stays bound to its own
+// graph.
+func (s *Sieve) cloneInto(dst *Sieve) {
+	dst.release()
+	s.g.CloneInto(dst.g)
+	dst.k, dst.eps = s.k, s.eps
+	dst.delta, dst.value, dst.lo = s.delta, s.value, s.lo
+	for _, c := range s.cands {
+		d := dst.takeCand()
+		c.cloneInto(d)
+		dst.cands = append(dst.cands, d)
+	}
+}
+
+// release empties the instance for reuse: its graph's pages go back to
+// the pool (or stop being counted as shared) and its candidates become
+// spares. It is then an empty instance, like one newSieve returns.
+func (s *Sieve) release() {
+	s.g.Release()
+	s.spare = append(s.spare, s.cands...)
+	clear(s.cands)
+	s.cands = s.cands[:0]
+	s.delta, s.value, s.lo = 0, 0, 0
 }

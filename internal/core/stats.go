@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"tdnstream/internal/graph"
-	"tdnstream/internal/influence"
 )
 
 // Engine introspection: every tracker in the module can report its
@@ -107,66 +106,62 @@ func StatsFor(tr Tracker) (Stats, bool) {
 	return Stats{}, false
 }
 
-// footprint walks one sieve instance's owned structures: its graph (pages
-// deduped across the clone family via seen), candidate sets with their
-// reach bitsets, and the oracle scratch. reach and scratch are also
-// folded into total.
-func (s *Sieve) footprint(seen graph.PageSeen) (total, reach, scratch int64) {
-	total = s.g.SizeBytes(seen)
-	scratch = s.oracle.ScratchBytes()
-	total += int64(cap(s.newPairs)) * 8
-	total += statMapBytes(len(s.srcSet), statNodeIDBytes)
-	total += int64(cap(s.srcs)) * statNodeIDBytes
-	total += int64(cap(s.candList)) * 8
-	total += statMapBytes(len(s.cands), 8+8)
-	for _, c := range s.cands {
-		total += statCandBytes
-		total += int64(cap(c.members)) * statNodeIDBytes
-		total += statMapBytes(len(c.inSet), statNodeIDBytes)
-		if c.reach != nil {
+// footprint walks one sieve instance's own structures: its graph (pages
+// another graph of walk w already counted are skipped), and its
+// candidates, spare ones included, with their reach bitsets; reach is
+// also folded into total. Feed's scratch is the tracker's and is counted
+// once by the caller.
+func (s *Sieve) footprint(w graph.Walk) (total, reach int64) {
+	total = s.g.SizeBytes(w)
+	total += int64(cap(s.cands)+cap(s.next)+cap(s.spare)) * 8
+	for _, cs := range [2][]*sieveCand{s.cands, s.spare} {
+		for _, c := range cs {
+			total += statCandBytes
+			total += int64(cap(c.members)) * statNodeIDBytes
+			total += statMapBytes(len(c.inSet), statNodeIDBytes)
 			reach += c.reach.SizeBytes()
 		}
 	}
-	total += reach + scratch
-	return total, reach, scratch
+	return total + reach, reach
 }
 
-// engineStats reports one instance; the caller sets Tracker.
-func (s *Sieve) engineStats(seen graph.PageSeen) Stats {
-	total, reach, scratch := s.footprint(seen)
-	scc := s.scc.SizeBytes()
-	st := Stats{
-		Instances:    1,
-		Nodes:        s.g.NumNodes(),
-		Edges:        s.g.NumEdges(),
-		Thresholds:   len(s.cands),
-		ReachBytes:   reach,
-		ScratchBytes: scratch + scc,
-		Bytes:        total + scc,
-	}
-	for _, c := range s.cands {
-		if len(c.members) > st.MaxCandidate {
-			st.MaxCandidate = len(c.members)
-		}
-	}
-	if s.delta >= 1 {
-		st.ThresholdExpLo, st.ThresholdExpHi = s.expRange()
-	}
-	return st
+// sizeBytes returns the heap bytes Feed's scratch holds.
+func (sc *feedScratch) sizeBytes() int64 {
+	return sc.bfs.SizeBytes() + sc.scc.SizeBytes() +
+		int64(cap(sc.newPairs))*8 +
+		statMapBytes(len(sc.srcSet), statNodeIDBytes) +
+		int64(cap(sc.srcs))*statNodeIDBytes
 }
 
 // EngineStats implements Sizer.
 func (s *SieveADN) EngineStats() Stats {
-	st := s.sieve.engineStats(make(graph.PageSeen))
-	st.Tracker = s.Name()
+	sv := s.sieve
+	total, reach := sv.footprint(graph.NewWalk())
+	scratch := sv.sc.sizeBytes()
+	st := Stats{
+		Tracker:      s.Name(),
+		Instances:    1,
+		Nodes:        sv.g.NumNodes(),
+		Edges:        sv.g.NumEdges(),
+		Thresholds:   len(sv.cands),
+		ReachBytes:   reach,
+		ScratchBytes: scratch,
+		Bytes:        total + scratch,
+	}
+	for _, c := range sv.cands {
+		st.MaxCandidate = max(st.MaxCandidate, len(c.members))
+	}
+	if sv.delta >= 1 {
+		st.ThresholdExpLo, st.ThresholdExpHi = sv.expRange()
+	}
 	return st
 }
 
-// histogramStats folds a deadline-keyed instance map into one report,
-// sharing a page-seen set so copy-on-write pages common to the clone
-// family are counted once, and counting once the singleton-pass scratch
-// scc that every instance shares. Used by HistApprox and BasicReduction.
-func histogramStats(insts map[int64]*Sieve, t int64, scc *influence.SingletonScratch) Stats {
+// histogramStats folds a deadline-keyed instance map into one report. One
+// walk spans every instance, so copy-on-write pages common to the clone
+// family are counted once, and the Feed scratch sc that every instance
+// shares is counted once. Used by HistApprox and BasicReduction.
+func histogramStats(insts map[int64]*Sieve, t int64, sc *feedScratch) Stats {
 	deadlines := make([]int64, 0, len(insts))
 	for d := range insts {
 		deadlines = append(deadlines, d)
@@ -175,13 +170,12 @@ func histogramStats(insts map[int64]*Sieve, t int64, scc *influence.SingletonScr
 
 	var st Stats
 	st.Instances = len(insts)
-	seen := make(graph.PageSeen)
+	w := graph.NewWalk()
 	for i, d := range deadlines {
 		inst := insts[d]
-		total, reach, scratch := inst.footprint(seen)
+		total, reach := inst.footprint(w)
 		st.Bytes += total
 		st.ReachBytes += reach
-		st.ScratchBytes += scratch
 		st.Thresholds += len(inst.cands)
 		for _, c := range inst.cands {
 			if len(c.members) > st.MaxCandidate {
@@ -200,15 +194,16 @@ func histogramStats(insts map[int64]*Sieve, t int64, scc *influence.SingletonScr
 			Value:      inst.Value(),
 		})
 	}
-	st.ScratchBytes += scc.SizeBytes()
-	st.Bytes += scc.SizeBytes()
+	st.ScratchBytes = sc.sizeBytes()
+	st.Bytes += st.ScratchBytes
 	return st
 }
 
 // EngineStats implements Sizer. Nodes/Edges are the live graph's (the
-// TDN store), not the per-instance addition-only views.
+// TDN store), not the per-instance addition-only views. Bytes also
+// covers the spare instances and the pages pooled for reuse.
 func (h *HistApprox) EngineStats() Stats {
-	st := histogramStats(h.insts, h.t, h.scc)
+	st := histogramStats(h.insts, h.t, h.sc)
 	st.Tracker = h.Name()
 	st.ReductionKills = h.kills
 	if h.store != nil {
@@ -217,7 +212,15 @@ func (h *HistApprox) EngineStats() Stats {
 		st.ExpirySlots = h.store.NumExpirySlots()
 		st.Bytes += h.store.SizeBytes()
 	}
-	st.Bytes += int64(cap(h.xs))*8 + int64(cap(h.lifetimes))*8
+	w := graph.NewWalk()
+	for _, inst := range h.spare {
+		total, reach := inst.footprint(w)
+		st.Bytes += total
+		st.ReachBytes += reach
+	}
+	st.Bytes += h.pool.SizeBytes()
+	st.Bytes += int64(cap(h.xs)+cap(h.spare)+cap(h.lifetimes)+cap(h.vals)+cap(h.sufMax)) * 8
+	st.Bytes += int64(cap(h.pairs)+cap(h.backlog)) * 8
 	for _, g := range h.groups {
 		st.Bytes += int64(cap(g)) * statEdgeBytes
 	}
@@ -230,7 +233,7 @@ func (h *HistApprox) EngineStats() Stats {
 // EngineStats implements Sizer. Nodes/Edges come from the head instance,
 // which has processed exactly the live edges.
 func (b *BasicReduction) EngineStats() Stats {
-	st := histogramStats(b.insts, b.t, b.scc)
+	st := histogramStats(b.insts, b.t, b.sc)
 	st.Tracker = b.Name()
 	if head, ok := b.insts[b.t+1]; ok {
 		st.Nodes = head.g.NumNodes()

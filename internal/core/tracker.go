@@ -58,13 +58,17 @@ func checkStep(prev, t int64, first bool) error {
 // endpointsOf strips a batch to bare directed pairs for instance feeding,
 // dropping self-loops (disallowed by the TDN model).
 func endpointsOf(edges []stream.Edge) []Pair {
-	out := make([]Pair, 0, len(edges))
+	return appendEndpoints(make([]Pair, 0, len(edges)), edges)
+}
+
+// appendEndpoints is endpointsOf appending to dst.
+func appendEndpoints(dst []Pair, edges []stream.Edge) []Pair {
 	for _, e := range edges {
 		if e.Src != e.Dst {
-			out = append(out, Pair{e.Src, e.Dst})
+			dst = append(dst, Pair{e.Src, e.Dst})
 		}
 	}
-	return out
+	return dst
 }
 
 // Pair is a bare directed endpoint pair — the edge shape Sieve.Feed

@@ -8,7 +8,13 @@
 //     []NodeID neighbor lists indexed by NodeID (ids are dense via
 //     ids.Dict) — and Clone is copy-on-write at page granularity, so
 //     cloning costs O(nodes/pageSize) and divergence is paid lazily, one
-//     small page copy per touched node block.
+//     small page copy per touched node block. Each page counts the graphs
+//     that reference it, and a write copies a page only while another
+//     live graph still references it. Release hands a graph's pages back:
+//     a page no other graph references returns to the family's PagePool,
+//     where the next page copy takes it from. A clone that is never
+//     released stays correct; it only keeps its pages counted, so its
+//     partner copies each of them on its next write there.
 //   - TDN: the general time-decaying dynamic interaction network
 //     (paper §II-B) with per-edge lifetimes and smooth expiry, used as the
 //     global graph view by the baselines (Greedy, Random, RIS family) and
@@ -39,19 +45,56 @@ const (
 	pageMask = pageSize - 1
 )
 
-// adjPage is one fixed-size block of per-node neighbor lists.
-type adjPage [pageSize][]ids.NodeID
+// adjPage is one fixed-size block of per-node neighbor lists with the
+// header that lets clones share it: refs counts the page tables holding
+// the page, and walk is the last memory walk that counted it (see Walk).
+type adjPage struct {
+	refs  int32
+	walk  uint64
+	lists [pageSize][]ids.NodeID
+}
+
+// PagePool keeps the adjacency pages released by one family of graphs —
+// an ADN, its clones and theirs — for the family's next page copies.
+// Like the graphs it serves it is not safe for concurrent use: one
+// goroutine at a time writes, clones or releases the family (a tracker
+// and its sieve instances). A nil pool recycles nothing.
+type PagePool struct {
+	free []*adjPage
+}
+
+// get returns an empty page referenced once.
+func (p *PagePool) get() *adjPage {
+	if p != nil {
+		if n := len(p.free); n > 0 {
+			pg := p.free[n-1]
+			p.free[n-1] = nil
+			p.free = p.free[:n-1]
+			pg.refs = 1
+			return pg
+		}
+	}
+	return &adjPage{refs: 1}
+}
+
+// put takes a page no graph references any more. Its neighbor lists are
+// dropped, not kept: their backing arrays may still be shared with pages
+// copied from this one (see adjacency.writable).
+func (p *PagePool) put(pg *adjPage) {
+	if p == nil {
+		return
+	}
+	clear(pg.lists[:])
+	p.free = append(p.free, pg)
+}
 
 // adjacency is a paged dense map NodeID → []NodeID with copy-on-write
-// sharing. Pages referenced by more than one adjacency (after Clone) are
-// immutable; writable() copies a page — capacity-clamping every neighbor
-// slice header in the copy so later appends reallocate privately instead
-// of colliding in a shared backing array — before the first mutation.
+// sharing. A page whose refs exceed one is immutable; writable() copies
+// it — capacity-clamping every neighbor slice header in the copy so later
+// appends reallocate privately instead of colliding in a shared backing
+// array — before the first mutation.
 type adjacency struct {
 	pages []*adjPage
-	// owned[i] reports that pages[i] is referenced by this adjacency
-	// alone and may be mutated in place.
-	owned []bool
 }
 
 // slice returns n's neighbor list (nil if none).
@@ -64,50 +107,59 @@ func (a *adjacency) slice(n ids.NodeID) []ids.NodeID {
 	if p == nil {
 		return nil
 	}
-	return p[int(n)&pageMask]
+	return p.lists[int(n)&pageMask]
 }
 
 // writable returns a pointer to n's slot inside a page this adjacency
-// exclusively owns, growing the page table and copying a shared page as
-// needed.
-func (a *adjacency) writable(n ids.NodeID) *[]ids.NodeID {
+// alone references, growing the page table and copying a shared page as
+// needed. New pages and copies come from pool.
+func (a *adjacency) writable(n ids.NodeID, pool *PagePool) *[]ids.NodeID {
 	pi := int(n) >> pageBits
 	if pi >= len(a.pages) {
 		grown := make([]*adjPage, pi+pi/2+2)
 		copy(grown, a.pages)
 		a.pages = grown
-		grownOwned := make([]bool, len(grown))
-		copy(grownOwned, a.owned)
-		a.owned = grownOwned
 	}
 	p := a.pages[pi]
 	switch {
 	case p == nil:
-		p = new(adjPage)
+		p = pool.get()
 		a.pages[pi] = p
-		a.owned[pi] = true
-	case !a.owned[pi]:
-		cp := *p
-		for i, s := range cp {
-			cp[i] = s[:len(s):len(s)]
+	case p.refs > 1:
+		cp := pool.get()
+		for i, s := range p.lists {
+			cp.lists[i] = s[:len(s):len(s)]
 		}
-		p = &cp
+		p.refs--
+		p = cp
 		a.pages[pi] = p
-		a.owned[pi] = true
 	}
-	return &p[int(n)&pageMask]
+	return &p.lists[int(n)&pageMask]
 }
 
-// share returns a copy-on-write duplicate and demotes the receiver's
-// pages to shared: after share, both sides copy a page before mutating
+// shareFrom points a at src's pages, counting the new references, and
+// reuses a's page table: after it both sides copy a page before mutating
 // it, so neither can publish writes into the other's view.
-func (a *adjacency) share() adjacency {
-	for i := range a.owned {
-		a.owned[i] = false
+func (a *adjacency) shareFrom(src *adjacency) {
+	for _, p := range src.pages {
+		if p != nil {
+			p.refs++
+		}
 	}
-	return adjacency{
-		pages: append([]*adjPage(nil), a.pages...),
-		owned: make([]bool, len(a.pages)),
+	a.pages = append(a.pages[:0], src.pages...)
+}
+
+// release drops a's references, handing every page no other adjacency
+// holds to pool. The page table keeps its length and capacity.
+func (a *adjacency) release(pool *PagePool) {
+	for i, p := range a.pages {
+		if p == nil {
+			continue
+		}
+		a.pages[i] = nil
+		if p.refs--; p.refs == 0 {
+			pool.put(p)
+		}
 	}
 }
 
@@ -116,6 +168,8 @@ func (a *adjacency) share() adjacency {
 type ADN struct {
 	out adjacency
 	in  adjacency
+	// pool supplies and takes back the pages of this graph's clone family.
+	pool *PagePool
 	// present is a bitset of node ids touched by any edge.
 	present  []uint64
 	numNodes int
@@ -132,8 +186,13 @@ type ADN struct {
 	interactions int
 }
 
-// NewADN returns an empty addition-only graph.
+// NewADN returns an empty addition-only graph. Its pages come from the
+// heap and are never recycled.
 func NewADN() *ADN { return &ADN{} }
+
+// NewPooledADN returns an empty addition-only graph whose clone family
+// takes its pages from pool and gives released pages back to it.
+func NewPooledADN(pool *PagePool) *ADN { return &ADN{pool: pool} }
 
 // AddEdge inserts the directed edge u→v, reporting whether the pair was
 // new (parallel edges are recorded in the interaction count only).
@@ -148,9 +207,9 @@ func (g *ADN) AddEdge(u, v ids.NodeID) bool {
 	if g.hasOut(u, v) {
 		return false
 	}
-	outU := g.out.writable(u)
+	outU := g.out.writable(u, g.pool)
 	*outU = append(*outU, v)
-	inV := g.in.writable(v)
+	inV := g.in.writable(v, g.pool)
 	*inV = append(*inV, u)
 	if d := g.dedup[u]; d != nil {
 		d[v] = struct{}{}
@@ -293,7 +352,7 @@ func (g *ADN) Pairs(visit func(u, v ids.NodeID)) {
 			continue
 		}
 		base := ids.NodeID(pi) << pageBits
-		for off, vs := range p {
+		for off, vs := range p.lists {
 			for _, v := range vs {
 				visit(base+ids.NodeID(off), v)
 			}
@@ -308,13 +367,39 @@ func (g *ADN) Pairs(visit func(u, v ids.NodeID)) {
 // adjacency.writable), so divergence cost is proportional to the node
 // blocks actually touched afterwards, never to total edges.
 func (g *ADN) Clone() *ADN {
-	return &ADN{
-		out:          g.out.share(),
-		in:           g.in.share(),
-		present:      append([]uint64(nil), g.present...),
-		numNodes:     g.numNodes,
-		numPairs:     g.numPairs,
-		nodeCap:      g.nodeCap,
-		interactions: g.interactions,
+	c := new(ADN)
+	g.CloneInto(c)
+	return c
+}
+
+// CloneInto makes dst what Clone would return, reusing dst's page tables
+// and bitset. dst's own pages are released first, and dst joins g's
+// pool.
+func (g *ADN) CloneInto(dst *ADN) {
+	if dst == g {
+		panic("graph: CloneInto onto itself")
 	}
+	dst.Release()
+	dst.pool = g.pool
+	dst.out.shareFrom(&g.out)
+	dst.in.shareFrom(&g.in)
+	dst.present = append(dst.present[:0], g.present...)
+	dst.numNodes = g.numNodes
+	dst.numPairs = g.numPairs
+	dst.nodeCap = g.nodeCap
+	dst.interactions = g.interactions
+}
+
+// Release empties the graph and drops its page references: every page
+// no other graph of the family still references goes back to the pool.
+// The graph stays usable, as an empty graph that keeps its page tables
+// and bitset for a later CloneInto. Releasing a graph is optional; one
+// that is dropped instead only leaves its pages counted, so the graphs
+// sharing them copy each on their next write there.
+func (g *ADN) Release() {
+	g.out.release(g.pool)
+	g.in.release(g.pool)
+	clear(g.present)
+	g.numNodes, g.numPairs, g.nodeCap, g.interactions = 0, 0, 0, 0
+	clear(g.dedup)
 }

@@ -1,5 +1,7 @@
 package graph
 
+import "sync/atomic"
+
 // Memory accounting for the two graph representations. Sizes are walked
 // bottom-up from the actual backing arrays (slice capacities, bitset
 // words) so the totals track runtime.MemStats growth; map footprints are
@@ -24,27 +26,35 @@ func mapBytes(n, kv int) int64 {
 	return 48 + buckets*(16+8*int64(kv))
 }
 
-// PageSeen dedupes copy-on-write adjacency pages across ADN clones: a
-// HISTAPPROX instance family shares most pages with its neighbors, and
-// counting a shared page once per family — not once per instance — is
-// what keeps the accountant honest against measured heap growth. Pass one
-// set through every SizeBytes call belonging to the same clone family.
-type PageSeen map[*adjPage]struct{}
+// pageBytes is the heap size of one adjacency page: its header and 64
+// slice headers, rounded up to the runtime size class an adjPage takes.
+const pageBytes = 1792
 
-// sizeBytes sums the page table plus every not-yet-seen page: 64 slice
-// headers per page and the capacity of each neighbor list.
-func (a *adjacency) sizeBytes(seen PageSeen) int64 {
-	total := int64(cap(a.pages))*8 + int64(cap(a.owned))
+// walks numbers memory walks across every graph family in the process.
+var walks atomic.Uint64
+
+// Walk is one memory walk over a family of graphs: a page shared by
+// several of them is counted by the first SizeBytes call of the walk that
+// reaches it, so a HISTAPPROX instance family's shared pages are counted
+// once, not once per instance. The walk's number is stamped into each
+// page it counts, so SizeBytes writes to the graph: call it only where a
+// write would be safe.
+type Walk uint64
+
+// NewWalk starts a walk. Pass it to every SizeBytes call of one family.
+func NewWalk() Walk { return Walk(walks.Add(1)) }
+
+// sizeBytes sums the page table plus every page this walk has not yet
+// counted: the page itself and the capacity of each neighbor list.
+func (a *adjacency) sizeBytes(w Walk) int64 {
+	total := int64(cap(a.pages)) * 8
 	for _, p := range a.pages {
-		if p == nil {
+		if p == nil || p.walk == uint64(w) {
 			continue
 		}
-		if _, ok := seen[p]; ok {
-			continue
-		}
-		seen[p] = struct{}{}
-		total += pageSize * sliceHeaderBytes
-		for _, s := range p {
+		p.walk = uint64(w)
+		total += pageBytes
+		for _, s := range p.lists {
 			total += int64(cap(s)) * nodeIDBytes
 		}
 	}
@@ -52,20 +62,25 @@ func (a *adjacency) sizeBytes(seen PageSeen) int64 {
 }
 
 // SizeBytes returns the heap bytes held by the graph's adjacency pages,
-// presence bitset and dedup accelerator. seen carries page identity across
-// clones so shared copy-on-write pages are counted once per family; pass
-// nil for a standalone graph.
-func (g *ADN) SizeBytes(seen PageSeen) int64 {
-	if seen == nil {
-		seen = make(PageSeen)
-	}
-	total := g.out.sizeBytes(seen) + g.in.sizeBytes(seen)
+// presence bitset and dedup accelerator, counting pages w has already
+// counted in another graph of the family as zero.
+func (g *ADN) SizeBytes(w Walk) int64 {
+	total := g.out.sizeBytes(w) + g.in.sizeBytes(w)
 	total += int64(cap(g.present)) * 8
 	total += mapBytes(len(g.dedup), nodeIDBytes+8)
 	for _, d := range g.dedup {
 		total += mapBytes(len(d), nodeIDBytes)
 	}
 	return total
+}
+
+// SizeBytes returns the heap bytes the pool holds: its idle pages and
+// their list.
+func (p *PagePool) SizeBytes() int64 {
+	if p == nil {
+		return 0
+	}
+	return int64(len(p.free))*pageBytes + int64(cap(p.free))*8
 }
 
 // NumExpirySlots reports the number of distinct expiry times currently

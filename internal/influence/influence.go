@@ -93,9 +93,16 @@ func (r *ReachSet) Len() int { return r.count }
 func (r *ReachSet) add(n ids.NodeID) {
 	w := int(n >> 6)
 	if w >= len(r.words) {
-		grown := make([]uint64, w+w/2+1)
-		copy(grown, r.words)
-		r.words = grown
+		if w < cap(r.words) {
+			// Reused words past the length may hold stale bits.
+			l := len(r.words)
+			r.words = r.words[:w+1]
+			clear(r.words[l:])
+		} else {
+			grown := make([]uint64, w+1, w+w/2+1)
+			copy(grown, r.words)
+			r.words = grown
+		}
 	}
 	mask := uint64(1) << (n & 63)
 	if r.words[w]&mask == 0 {
@@ -106,7 +113,20 @@ func (r *ReachSet) add(n ids.NodeID) {
 
 // Clone deep-copies the set: one word-array copy, O(NodeCap/64).
 func (r *ReachSet) Clone() *ReachSet {
-	return &ReachSet{words: append([]uint64(nil), r.words...), count: r.count}
+	c := new(ReachSet)
+	c.CopyFrom(r)
+	return c
+}
+
+// CopyFrom makes r a copy of src, reusing r's word array when it is
+// large enough.
+func (r *ReachSet) CopyFrom(src *ReachSet) {
+	if cap(r.words) < len(src.words) {
+		r.words = make([]uint64, len(src.words))
+	}
+	r.words = r.words[:len(src.words)]
+	copy(r.words, src.words)
+	r.count = src.count
 }
 
 // Reset empties the set in place, keeping its capacity.
@@ -142,14 +162,29 @@ type Oracle struct {
 	g Graph
 	// sg is g itself when g exposes slice-backed adjacency, else a
 	// neighborCopy of it: every BFS ranges over neighbor slices.
-	sg      SliceGraph
-	calls   *metrics.Counter
-	visited []uint32
-	gen     uint32
-	queue   []ids.NodeID
-	delta   []ids.NodeID
-	// affected is the reusable output buffer of Affected.
+	sg    SliceGraph
+	calls *metrics.Counter
+	*Scratch
+}
+
+// Scratch is the BFS working memory behind an Oracle: generation-stamped
+// visited marks, the queue, the nodes a MarginalGain or Update newly
+// reached, and Affected's result. Only that result outlives an
+// evaluation, until the next Affected call, so oracles that never
+// evaluate at the same time may share one Scratch: a tracker's sieve
+// instances are fed one at a time and all use the tracker's. New gives
+// each oracle its own.
+type Scratch struct {
+	visited  []uint32
+	gen      uint32
+	queue    []ids.NodeID
+	delta    []ids.NodeID
 	affected []ids.NodeID
+}
+
+// SizeBytes returns the heap bytes the scratch holds.
+func (sc *Scratch) SizeBytes() int64 {
+	return int64(cap(sc.visited))*4 + int64(cap(sc.queue)+cap(sc.delta)+cap(sc.affected))*4
 }
 
 // neighborCopy adapts a Graph without slice-backed adjacency to
@@ -184,10 +219,16 @@ func (c *neighborCopy) InSlice(u ids.NodeID) []ids.NodeID {
 // New returns an oracle over g counting calls into c (c may be nil, in
 // which case a private counter is used).
 func New(g Graph, c *metrics.Counter) *Oracle {
+	return NewShared(g, c, new(Scratch))
+}
+
+// NewShared is New with the BFS scratch supplied, for oracles that share
+// one (see Scratch).
+func NewShared(g Graph, c *metrics.Counter, sc *Scratch) *Oracle {
 	if c == nil {
 		c = &metrics.Counter{}
 	}
-	o := &Oracle{calls: c}
+	o := &Oracle{calls: c, Scratch: sc}
 	o.Retarget(g)
 	return o
 }
@@ -199,8 +240,7 @@ func (o *Oracle) Calls() *metrics.Counter { return o.calls }
 // scratch (generation-stamped visited stamps plus the queue/delta/affected
 // buffers). The graph itself is accounted separately by its owner.
 func (o *Oracle) ScratchBytes() int64 {
-	n := int64(cap(o.visited))*4 +
-		int64(cap(o.queue)+cap(o.delta)+cap(o.affected))*4
+	n := o.Scratch.SizeBytes()
 	if c, ok := o.sg.(*neighborCopy); ok {
 		n += int64(cap(c.buf)) * 4
 	}
@@ -258,12 +298,13 @@ func (o *Oracle) Spread(seeds ...ids.NodeID) int {
 			q = append(q, s)
 		}
 	}
+	visited := o.visited
 	for len(q) > 0 {
 		u := q[len(q)-1]
 		q = q[:len(q)-1]
 		for _, v := range o.sg.OutSlice(u) {
-			if o.visited[v] != gen {
-				o.visited[v] = gen
+			if visited[v] != gen {
+				visited[v] = gen
 				count++
 				q = append(q, v)
 			}
@@ -288,12 +329,13 @@ func (o *Oracle) FillReachSet(dst *ReachSet, seeds ...ids.NodeID) int {
 			q = append(q, s)
 		}
 	}
+	visited := o.visited
 	for len(q) > 0 {
 		u := q[len(q)-1]
 		q = q[:len(q)-1]
 		for _, v := range o.sg.OutSlice(u) {
-			if o.visited[v] != gen {
-				o.visited[v] = gen
+			if visited[v] != gen {
+				visited[v] = gen
 				dst.add(v)
 				q = append(q, v)
 			}
@@ -308,14 +350,15 @@ func (o *Oracle) FillReachSet(dst *ReachSet, seeds ...ids.NodeID) int {
 // Assumes frontier nodes are stamped with gen and not in rs.
 func (o *Oracle) expand(q []ids.NodeID, gen uint32, rs *ReachSet) []ids.NodeID {
 	delta := append(o.delta[:0], q...)
+	visited := o.visited
 	for len(q) > 0 {
 		u := q[len(q)-1]
 		q = q[:len(q)-1]
 		for _, w := range o.sg.OutSlice(u) {
-			if o.visited[w] == gen || rs.Contains(w) {
+			if visited[w] == gen || rs.Contains(w) {
 				continue
 			}
-			o.visited[w] = gen
+			visited[w] = gen
 			delta = append(delta, w)
 			q = append(q, w)
 		}
@@ -357,9 +400,10 @@ func (o *Oracle) MarginalGain(rs *ReachSet, v ids.NodeID, merge bool) int {
 func (o *Oracle) Update(rs *ReachSet, edges []Endpoints) bool {
 	gen := o.nextGen()
 	q := o.queue[:0]
+	visited := o.visited
 	for _, e := range edges {
-		if rs.Contains(e.Src) && !rs.Contains(e.Dst) && o.visited[e.Dst] != gen {
-			o.visited[e.Dst] = gen
+		if rs.Contains(e.Src) && !rs.Contains(e.Dst) && visited[e.Dst] != gen {
+			visited[e.Dst] = gen
 			q = append(q, e.Dst)
 		}
 	}
@@ -395,12 +439,13 @@ func (o *Oracle) Affected(sources []ids.NodeID) []ids.NodeID {
 			q = append(q, s)
 		}
 	}
+	visited := o.visited
 	for len(q) > 0 {
 		u := q[len(q)-1]
 		q = q[:len(q)-1]
 		for _, v := range o.sg.InSlice(u) {
-			if o.visited[v] != gen {
-				o.visited[v] = gen
+			if visited[v] != gen {
+				visited[v] = gen
 				out = append(out, v)
 				q = append(q, v)
 			}
